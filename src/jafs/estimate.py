@@ -4,13 +4,18 @@ Stages, in data-flow order:
 
 1. pair_correlations: average vec(z_i z_j^H) over blocks for every
    ordered antenna pair.
-2. recover_lags: least-squares inversion of the selection-sum system
-   relating compressed correlations to the 2N_t-1 uncompressed lags.
+2. recover_lags: the 2N_t-1 uncompressed lags from the compressed
+   correlations.  The selection-sum system has one 1 per row, so its
+   least-squares solution is closed form: each lag is the mean of the
+   coset row pairs that realize it.
 3. assemble_spatial: regroup recovered lags into vec(R_y[k]) per lag.
 4. recover_angular: least-squares inversion of the spatial Khatri-Rao
    system, giving per-grid-angle lag vectors and the noise power.
 5. spectrum: row-wise DFT to the joint angle-frequency power matrix.
 6. find_peaks: detections (angle, frequency support, power).
+
+spectrum_from_blocks runs stages 1-5 over a Design, the sampling design
+and its two system matrices, built once.
 
 Lag vectors use one canonical order throughout: [0, 1, .., N_t-1,
 1-N_t, .., -1], i.e. lag k lives at index k mod (2N_t-1).  That is the
@@ -24,12 +29,12 @@ full column rank (certified, not hoped).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
 
-from .model import AngularGrid, ManifoldMatrices, rank_report
+from .model import AngularGrid, ArrayGeometry, ManifoldMatrices, manifold_and_kr
 from .simulate import CosetPattern, SnapshotBlocks
 
 
@@ -90,7 +95,6 @@ class RctMatrix:
     n_t: int
     m_t: int
     col_index: np.ndarray  # (m_t**2,) 0-based lag-column per row
-    full_column_rank: bool
 
     def __post_init__(self):
         idx = np.asarray(self.col_index)
@@ -100,6 +104,15 @@ class RctMatrix:
     @property
     def n_lags(self) -> int:
         return 2 * self.n_t - 1
+
+    @property
+    def pair_counts(self) -> np.ndarray:
+        """Per lag column, the number of coset row pairs realizing it."""
+        return np.bincount(self.col_index, minlength=self.n_lags)
+
+    @property
+    def full_column_rank(self) -> bool:
+        return bool(self.pair_counts.all())
 
     def as_dense(self) -> np.ndarray:
         R = np.zeros((self.m_t ** 2, self.n_lags))
@@ -113,18 +126,26 @@ def build_rct(pattern: CosetPattern) -> RctMatrix:
     (2N_t-1).  Full column rank iff every lag column is hit, which the
     ruler construction guarantees."""
     rows = np.asarray(pattern.rows)
-    n_lags = 2 * pattern.n_t - 1
     # pair (p, q) sits at vec index p + q*m_t
-    lag = (rows[:, None] - rows[None, :]) % n_lags  # lag[p, q]
-    col_index = lag.flatten(order="F")
-    covered = np.zeros(n_lags, dtype=bool)
-    covered[col_index] = True
-    return RctMatrix(
-        n_t=pattern.n_t,
-        m_t=pattern.m_t,
-        col_index=col_index,
-        full_column_rank=bool(covered.all()),
-    )
+    lag = (rows[:, None] - rows[None, :]) % (2 * pattern.n_t - 1)  # lag[p, q]
+    return RctMatrix(n_t=pattern.n_t, m_t=pattern.m_t, col_index=lag.flatten(order="F"))
+
+
+@dataclass(frozen=True, eq=False)
+class Design:
+    """Everything estimation needs that depends only on the sampling
+    design, resolved once: the array geometry, angular grid and coset
+    pattern, plus the two system matrices built from them."""
+
+    geometry: ArrayGeometry
+    grid: AngularGrid
+    pattern: CosetPattern
+    manifold: ManifoldMatrices = field(init=False)
+    rct: RctMatrix = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "manifold", manifold_and_kr(self.geometry, self.grid))
+        object.__setattr__(self, "rct", build_rct(self.pattern))
 
 
 def pair_correlations(snapshots: SnapshotBlocks) -> np.ndarray:
@@ -179,17 +200,20 @@ def recover_lags(
 ) -> CorrelationSet:
     """Least-squares lag recovery for every antenna pair at once.
 
-    The orthogonal factorization of the selection-sum matrix is computed
-    once and reused across all M_s**2 right-hand sides.  Refuses to run
-    when the system is rank deficient (a coset design failure, not a data
+    Each row of the selection-sum matrix holds a single 1, so its normal
+    equations are diagonal: the least-squares lag is the mean of the
+    compressed pair entries that realize it, i.e. per-lag sums divided by
+    per-lag pair counts.  Refuses to run when some lag has no pair, where
+    the system is rank deficient (a coset design failure, not a data
     problem).
 
     Hermitian pairing r[i,j,-k] = conj(r[j,i,k]) holds only statistically;
     ``symmetrize`` averages the two estimates, default off so results
     match the plain least-squares description.
     """
-    if not rct.full_column_rank:
-        missing = sorted(set(range(rct.n_lags)) - set(rct.col_index.tolist()))
+    counts = rct.pair_counts
+    if not counts.all():
+        missing = np.flatnonzero(counts == 0).tolist()
         raise RankDeficiencyError(
             f"selection-sum matrix misses lag columns {missing}; "
             "choose coset rows covering all lags (ruler construction)",
@@ -199,10 +223,12 @@ def recover_lags(
     m_s = pair_vecs.shape[0]
     if pair_vecs.shape != (m_s, m_s, rct.m_t ** 2):
         raise ValueError("pair_vecs must have shape (M_s, M_s, M_t**2)")
-    q_f, r_f = qr(rct.as_dense(), mode="economic")
-    rhs = pair_vecs.reshape(m_s * m_s, -1).T  # (m_t**2, pairs)
-    sol = solve_triangular(r_f, q_f.T @ rhs)  # (n_lags, pairs)
-    values = sol.T.reshape(m_s, m_s, rct.n_lags)
+    # group each pair's entries by lag, then sum every group
+    order = np.argsort(rct.col_index, kind="stable")
+    starts = np.cumsum(counts) - counts
+    rhs = pair_vecs.reshape(m_s * m_s, -1)[:, order]
+    sums = np.add.reduceat(rhs, starts, axis=1)
+    values = (sums / counts).reshape(m_s, m_s, rct.n_lags)
     if symmetrize:
         rev = (-np.arange(rct.n_lags)) % rct.n_lags
         mirror = values.conj().transpose(1, 0, 2)[:, :, rev]
@@ -230,7 +256,6 @@ class AngularRecovery:
     source_lags: np.ndarray  # (Q, 2*n_t - 1), canonical lag order
     sigma_n_hat: float
     residual_norms: np.ndarray  # per-lag LS residuals
-    rank_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("source_lags", "residual_norms"):
@@ -290,7 +315,7 @@ def recover_angular(
         vec_ry = vec_ry[:, None]
     if vec_ry.shape[0] != m2:
         raise ValueError(f"vec_ry must have {m2} rows")
-    info = rank_report(KR, noise_col)
+    info = manifold.rank_info
     if info["rank"] < q_count:
         raise RankDeficiencyError(
             f"Khatri-Rao matrix rank {info['rank']} < Q={q_count}; "
@@ -325,7 +350,6 @@ def recover_angular(
         source_lags=x,
         sigma_n_hat=sigma_hat,
         residual_norms=resid,
-        rank_info=info,
     )
 
 
@@ -392,6 +416,26 @@ def spectrum(
         freq_grid=freqs,
         sigma_n_hat=float(sigma_n_hat),
     )
+
+
+def spectrum_from_blocks(
+    design: Design,
+    blocks: SnapshotBlocks,
+    noise_mode: str,
+    noise_variance: float,
+):
+    """The whole estimator, stages 1-5: compressed blocks to
+    (AngularRecovery, SpectrumMatrix).  ``noise_variance`` is the
+    configured one; it reaches the angular solve only when
+    ``noise_mode`` is "known"."""
+    corr = recover_lags(design.rct, pair_correlations(blocks))
+    rec = recover_angular(
+        design.manifold,
+        assemble_all(corr),
+        noise_mode=noise_mode,
+        noise_variance=noise_variance if noise_mode == "known" else None,
+    )
+    return rec, spectrum(rec.source_lags, design.grid, rec.sigma_n_hat)
 
 
 @dataclass(frozen=True)

@@ -136,14 +136,6 @@ def validate_ruler(marks: Iterable[int], length: int) -> bool:
     return all(lag in seen for lag in range(1, length + 1))
 
 
-def _coverage(marks: Sequence[int]) -> set:
-    out = set()
-    for i, a in enumerate(marks):
-        for b in marks[i + 1:]:
-            out.add(b - a)
-    return out
-
-
 def _min_cardinality_lower_bound(length: int) -> int:
     # k marks give at most k(k-1)/2 distinct positive lags
     k = 2
@@ -203,8 +195,8 @@ def _greedy_ruler(length: int) -> tuple:
             gain = len({abs(pos - m) for m in marks} - covered)
             if gain > best_gain:
                 best_gain, best_pos = gain, pos
-        marks.append(best_pos)
         covered |= {abs(best_pos - m) for m in marks}
+        marks.append(best_pos)
         marks.sort()
     return tuple(marks)
 
@@ -339,6 +331,22 @@ def difference_set(marks: Iterable[int], spacing: SpacingLike) -> DifferenceSet:
     return DifferenceSet(values=values, spacing=d)
 
 
+def longest_run(values: Sequence, step) -> tuple:
+    """``(start, length)`` of the longest run of consecutive terms with
+    common difference ``step`` in the sorted, distinct ``values``; the
+    first such run wins ties."""
+    best_start, best_len = values[0], 1
+    run_start, run_len = values[0], 1
+    for prev, cur in zip(values, values[1:]):
+        if cur - prev == step:
+            run_len += 1
+        else:
+            run_start, run_len = cur, 1
+        if run_len > best_len:
+            best_start, best_len = run_start, run_len
+    return best_start, best_len
+
+
 def check_virtual_ula(
     diffset: DifferenceSet, q_count: int, step: SpacingLike
 ) -> RankCertificate:
@@ -356,16 +364,7 @@ def check_virtual_ula(
     d = _as_fraction(step)
     if d <= 0 or d > Fraction(1, 2):
         raise ValueError("step must lie in (0, 1/2] wavelengths")
-    uniq = diffset.unique()
-    best_len, best_start = 1, uniq[0]
-    run_len, run_start = 1, uniq[0]
-    for prev, cur in zip(uniq, uniq[1:]):
-        if cur - prev == d:
-            run_len += 1
-        else:
-            run_len, run_start = 1, cur
-        if run_len > best_len:
-            best_len, best_start = run_len, run_start
+    best_start, best_len = longest_run(diffset.unique(), d)
     return RankCertificate(
         passed=best_len >= q_count,
         criterion="virtual-ula",

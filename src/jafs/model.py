@@ -15,13 +15,12 @@ I/O boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import khatri_rao
 
-from .geometry import SpacingLike, _as_fraction
+from .geometry import longest_run
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,6 @@ class ArrayGeometry:
         """Active-antenna positions in wavelengths."""
         return np.asarray(self.active_marks, dtype=float) * float(self.spacing_d)
 
-    @property
-    def spacing_fraction(self) -> Fraction:
-        return _as_fraction(self.spacing_d)
-
 
 @dataclass(frozen=True)
 class AngularGrid:
@@ -92,12 +87,14 @@ class AngularGrid:
 @dataclass(frozen=True)
 class ManifoldMatrices:
     """Manifold B (M_s x Q), its self-conjugate Khatri-Rao product
-    (M_s^2 x Q), and the vectorized identity that multiplies the noise
-    power in the covariance model."""
+    (M_s^2 x Q), the vectorized identity that multiplies the noise power
+    in the covariance model, and the rank report of [KR | noise_column]
+    (see rank_report), computed once with the matrices."""
 
     B: np.ndarray
     KR: np.ndarray
     noise_column: np.ndarray
+    rank_info: dict
 
     def __post_init__(self):
         for name in ("B", "KR", "noise_column"):
@@ -136,7 +133,9 @@ def manifold_and_kr(geometry: ArrayGeometry, grid: AngularGrid) -> ManifoldMatri
     B = np.exp(2j * np.pi * np.outer(pos, np.sin(grid.angles)))
     KR = khatri_rao(B.conj(), B)
     noise_column = np.eye(geometry.m_active).flatten(order="F")
-    return ManifoldMatrices(B=B, KR=KR, noise_column=noise_column)
+    return ManifoldMatrices(
+        B=B, KR=KR, noise_column=noise_column, rank_info=rank_report(KR, noise_column)
+    )
 
 
 def rank_report(KR: np.ndarray, noise_column: Optional[np.ndarray] = None) -> dict:
@@ -174,17 +173,7 @@ def virtual_ula_row_indices(geometry: ArrayGeometry, q_count: int) -> np.ndarray
     marks = np.asarray(geometry.active_marks)
     m = len(marks)
     diff = marks[:, None] - marks[None, :]  # diff[i, j] = m_i - m_j
-    uniq = np.unique(diff)
-    # longest run of consecutive integers
-    best_start, best_len = uniq[0], 1
-    run_start, run_len = uniq[0], 1
-    for prev, cur in zip(uniq, uniq[1:]):
-        if cur - prev == 1:
-            run_len += 1
-        else:
-            run_start, run_len = cur, 1
-        if run_len > best_len:
-            best_start, best_len = run_start, run_len
+    best_start, best_len = longest_run(np.unique(diff).tolist(), 1)
     if best_len < q_count:
         raise ValueError(
             f"virtual ULA has {best_len} elements, need {q_count}"

@@ -12,20 +12,17 @@ Lag vectors follow the package-wide canonical order [0 .. N_t-1,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import estimate as _est
-from .model import AngularGrid, ArrayGeometry, manifold_and_kr
+from .model import AngularGrid, ArrayGeometry
 from .simulate import (
     CosetPattern,
-    SnapshotBlocks,
     SourceSpec,
+    compressed_blocks,
     design_bandpass,
-    spatial_compress,
-    temporal_compress,
-    ula_snapshots,
 )
 
 
@@ -189,17 +186,8 @@ def nyquist_reference(
         active_marks=tuple(range(n_underlying)),
     )
     pattern = CosetPattern(n_t=n_t, rows=tuple(range(n_t)))
-    snaps = ula_snapshots(
-        sources, full, noise_variance, n_blocks, n_t, master_seed
+    z = compressed_blocks(
+        sources, full, pattern, noise_variance, n_blocks, master_seed
     )
-    z = temporal_compress(spatial_compress(snaps, full), pattern)
-    pairs = _est.pair_correlations(z)
-    corr = _est.recover_lags(_est.build_rct(pattern), pairs)
-    mats = manifold_and_kr(full, grid)
-    rec = _est.recover_angular(
-        mats,
-        _est.assemble_all(corr),
-        noise_mode=noise_mode,
-        noise_variance=noise_variance if noise_mode == "known" else None,
-    )
-    return _est.spectrum(rec.source_lags, grid, rec.sigma_n_hat)
+    design = _est.Design(full, grid, pattern)
+    return _est.spectrum_from_blocks(design, z, noise_mode, noise_variance)[1]

@@ -36,15 +36,18 @@ A scenario file is INI-style text with sections::
     ; dump_snapshots = true  ; write compressed blocks next to the CSVs
 
 Design gates, checked before any simulation: M_t**2 >= 2*N_t - 1 is hard
-(the lag system cannot be overdetermined otherwise); M_s**2 >= Q is a
-warning (the angular system will be certified anyway); Q <= 2*N_s - 1 is
-advisory (more grid angles than the full co-array could ever resolve).
+(the lag system cannot be overdetermined otherwise), and so is every
+source band being at least 2*pi/N_t wide (the N_t-tap source filters
+resolve nothing narrower); M_s**2 >= Q is a warning (the angular system
+will be certified anyway); Q <= 2*N_s - 1 is advisory (more grid angles
+than the full co-array could ever resolve).
 """
 
 from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, replace as _replace
@@ -59,23 +62,15 @@ from .geometry import (
     check_sine_grid_residues,
     check_virtual_ula,
     difference_set,
-    validate_ruler,
 )
-from .model import (
-    AngularGrid,
-    ArrayGeometry,
-    inverse_sin_grid,
-    manifold_and_kr,
-    rank_report,
-)
+from .model import AngularGrid, ArrayGeometry, inverse_sin_grid
 from .oracle import place_on_grid
 from .simulate import (
     CosetPattern,
     SourceSpec,
+    band_resolvable,
     build_coset_pattern,
-    spatial_compress,
-    temporal_compress,
-    ula_snapshots,
+    compressed_blocks,
     write_snapshots,
 )
 
@@ -136,9 +131,12 @@ def _parse_float(section, key, default=None):
             return default
         raise ConfigError(f"[{section.name}] missing key '{key}'")
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a number")
+    if not math.isfinite(val):
+        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not finite")
+    return val
 
 
 def _parse_marks(raw):
@@ -175,7 +173,7 @@ def load_scenario(path) -> ScenarioConfig:
     m_t = _parse_int(coset, "m_t", minimum=1)
     rows_raw = coset.get("rows")
     coset_rows = _parse_marks(rows_raw) if rows_raw else None
-    coset_seed = int(coset["seed"]) if coset.get("seed") else None
+    coset_seed = _parse_int(coset, "seed") if coset.get("seed") else None
 
     grid_sec = parser["grid"]
     grid_q = _parse_int(grid_sec, "q", minimum=1)
@@ -190,6 +188,8 @@ def load_scenario(path) -> ScenarioConfig:
             grid_angles = tuple(np.radians(float(tok)) for tok in raw.split())
         except ValueError:
             raise ConfigError("[grid] angles_deg must be numbers")
+        if not np.all(np.isfinite(grid_angles)):
+            raise ConfigError("[grid] angles_deg must be finite")
         if len(grid_angles) != grid_q:
             raise ConfigError("[grid] angles_deg count must equal q")
     else:
@@ -240,33 +240,7 @@ def load_scenario(path) -> ScenarioConfig:
     if dump not in ("true", "false", "yes", "no", "1", "0"):
         raise ConfigError("[run] dump_snapshots must be a boolean")
 
-    try:
-        geometry_of(
-            ScenarioConfig(
-                n_underlying=n_underlying,
-                spacing=spacing,
-                marks=marks,
-                n_t=n_t,
-                m_t=m_t,
-                coset_rows=coset_rows,
-                coset_seed=coset_seed,
-                grid_q=grid_q,
-                grid_angles=grid_angles,
-                sources=tuple(sources),
-                noise_variance=noise_variance,
-                noise_mode=noise_mode,
-                n_blocks=n_blocks,
-                master_seed=master_seed,
-                output_dir=output_dir,
-                peak_threshold=peak_threshold,
-                workers=workers,
-                dump_snapshots=dump in ("true", "yes", "1"),
-            )
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc))
-
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         n_underlying=n_underlying,
         spacing=spacing,
         marks=marks,
@@ -286,6 +260,11 @@ def load_scenario(path) -> ScenarioConfig:
         workers=workers,
         dump_snapshots=dump in ("true", "yes", "1"),
     )
+    try:
+        geometry_of(cfg)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc))
+    return cfg
 
 
 def geometry_of(cfg: ScenarioConfig) -> ArrayGeometry:
@@ -320,84 +299,81 @@ def pattern_of(cfg: ScenarioConfig) -> CosetPattern:
     return build_coset_pattern(cfg.n_t, cfg.m_t, seed)
 
 
+def design_of(cfg: ScenarioConfig) -> est.Design:
+    """The configuration's design, resolved once per run."""
+    return est.Design(geometry_of(cfg), grid_of(cfg), pattern_of(cfg))
+
+
 def check_gates(cfg: ScenarioConfig) -> list:
-    """Cross-field design gates; raises DesignGateError on hard failure,
-    returns all gate records (including warnings) otherwise."""
-    geometry = geometry_of(cfg)
-    m_s = geometry.m_active
-    gates = []
-
-    hard = cfg.m_t ** 2 >= 2 * cfg.n_t - 1
-    gates.append(
-        {
-            "name": "temporal-overdetermination",
-            "level": "hard",
-            "passed": hard,
-            "detail": f"M_t^2 = {cfg.m_t ** 2} vs 2N_t-1 = {2 * cfg.n_t - 1}",
-        }
-    )
-    if not hard:
-        raise DesignGateError(
-            f"M_t^2 = {cfg.m_t ** 2} < 2N_t-1 = {2 * cfg.n_t - 1}: "
-            "the lag-recovery system cannot be full column rank",
-            gate=gates[-1],
-        )
-
-    gates.append(
-        {
-            "name": "spatial-overdetermination",
-            "level": "warning",
-            "passed": m_s ** 2 >= cfg.grid_q,
-            "detail": f"M_s^2 = {m_s ** 2} vs Q = {cfg.grid_q}",
-        }
-    )
-    gates.append(
-        {
-            "name": "grid-size-advisory",
-            "level": "advisory",
-            "passed": cfg.grid_q <= 2 * cfg.n_underlying - 1,
-            "detail": f"Q = {cfg.grid_q} vs 2N_s-1 = {2 * cfg.n_underlying - 1}",
-        }
-    )
+    """Cross-field design gates; raises DesignGateError on the first
+    failed hard gate, returns all gate records (including warnings)
+    otherwise."""
+    m_s = geometry_of(cfg).m_active
+    narrowest = min((s.band[1] - s.band[0] for s in cfg.sources), default=2 * np.pi)
+    bin_pi = 2 / cfg.n_t
+    checks = [
+        (
+            "temporal-overdetermination",
+            "hard",
+            cfg.m_t ** 2 >= 2 * cfg.n_t - 1,
+            f"M_t^2 = {cfg.m_t ** 2} vs 2N_t-1 = {2 * cfg.n_t - 1}",
+        ),
+        (
+            "band-resolution",
+            "hard",
+            all(band_resolvable(s.band, cfg.n_t) for s in cfg.sources),
+            f"narrowest band {narrowest / np.pi:.4g}pi vs 2pi/N_t = {bin_pi:.4g}pi",
+        ),
+        (
+            "spatial-overdetermination",
+            "warning",
+            m_s ** 2 >= cfg.grid_q,
+            f"M_s^2 = {m_s ** 2} vs Q = {cfg.grid_q}",
+        ),
+        (
+            "grid-size-advisory",
+            "advisory",
+            cfg.grid_q <= 2 * cfg.n_underlying - 1,
+            f"Q = {cfg.grid_q} vs 2N_s-1 = {2 * cfg.n_underlying - 1}",
+        ),
+    ]
+    gates = [dict(zip(("name", "level", "passed", "detail"), c)) for c in checks]
+    for gate in gates:
+        if gate["level"] == "hard" and not gate["passed"]:
+            raise DesignGateError(f"{gate['name']} failed: {gate['detail']}", gate=gate)
     return gates
 
 
-def design_certificates(cfg: ScenarioConfig) -> dict:
+def design_certificates(design: est.Design) -> dict:
     """All design checks: ruler validity, lag-column coverage, both
     rank-condition certificates, and the realized Khatri-Rao rank."""
-    geometry = geometry_of(cfg)
-    grid = grid_of(cfg)
-    pattern = pattern_of(cfg)
-    mats = manifold_and_kr(geometry, grid)
-    rct = est.build_rct(pattern)
-    report = rank_report(mats.KR, mats.noise_column)
+    geometry, pattern = design.geometry, design.pattern
+    q_count = design.grid.q_count
+    report = dict(design.manifold.rank_info)
 
-    d = Fraction(cfg.spacing).limit_denominator(10 ** 9)
+    d = Fraction(geometry.spacing_d).limit_denominator(10 ** 9)
     diffs = difference_set(geometry.active_marks, d)
-    cert1 = check_virtual_ula(diffs, cfg.grid_q, d).with_condition_number(
+    cert1 = check_virtual_ula(diffs, q_count, d).with_condition_number(
         report["condition_number"]
     )
-    cert2 = check_sine_grid_residues(diffs, cfg.grid_q).with_condition_number(
+    cert2 = check_sine_grid_residues(diffs, q_count).with_condition_number(
         report["condition_number"]
-    )
-
-    coset_ruler_ok = (
-        validate_ruler(pattern.rows, cfg.n_t - 1) if cfg.n_t > 1 else True
     )
     return {
         "geometry": {
-            "n_underlying": cfg.n_underlying,
+            "n_underlying": geometry.n_underlying,
             "active_marks": list(geometry.active_marks),
             "m_active": geometry.m_active,
-            "spatial_compression_rate": geometry.m_active / cfg.n_underlying,
+            "spatial_compression_rate": geometry.m_active / geometry.n_underlying,
         },
         "coset": {
             "rows": list(pattern.rows),
             "m_t": pattern.m_t,
-            "temporal_compression_rate": pattern.m_t / cfg.n_t,
-            "rows_cover_all_lags": bool(coset_ruler_ok),
+            "temporal_compression_rate": pattern.m_t / pattern.n_t,
+            # the rows form a length-(N_t-1) ruler iff every lag column is hit
+            "rows_cover_all_lags": design.rct.full_column_rank,
         },
-        "rct_full_column_rank": rct.full_column_rank,
+        "rct_full_column_rank": design.rct.full_column_rank,
         "virtual_ula": {
             "passed": cert1.passed,
             "criterion": cert1.criterion,
@@ -480,13 +456,9 @@ def run_scenario(
     try:
         t0 = time.perf_counter()
         gates = check_gates(cfg)
-        certs = design_certificates(cfg)
-        geometry = geometry_of(cfg)
-        grid = grid_of(cfg)
-        pattern = pattern_of(cfg)
-        mats = manifold_and_kr(geometry, grid)
-        rct = est.build_rct(pattern)
-        if not rct.full_column_rank:
+        design = design_of(cfg)
+        certs = design_certificates(design)
+        if not design.rct.full_column_rank:
             raise DesignGateError(
                 "coset pattern leaves lag columns empty",
                 gate={"name": "lag-coverage", "passed": False},
@@ -499,16 +471,7 @@ def run_scenario(
         timings["design_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        snaps = ula_snapshots(
-            cfg.sources,
-            geometry,
-            cfg.noise_variance,
-            cfg.n_blocks,
-            cfg.n_t,
-            cfg.master_seed,
-        )
-        z = temporal_compress(spatial_compress(snaps, geometry), pattern)
-        del snaps
+        z = _simulated_blocks(cfg, design)
         timings["simulate_s"] = time.perf_counter() - t0
 
         if cfg.dump_snapshots:
@@ -517,22 +480,11 @@ def run_scenario(
             written.append(dump_path)
 
         t0 = time.perf_counter()
-        pairs = est.pair_correlations(z)
-        corr = est.recover_lags(rct, pairs)
-        timings["correlate_s"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        rec = est.recover_angular(
-            mats,
-            est.assemble_all(corr),
-            noise_mode=cfg.noise_mode,
-            noise_variance=(
-                cfg.noise_variance if cfg.noise_mode == "known" else None
-            ),
+        rec, spec = est.spectrum_from_blocks(
+            design, z, cfg.noise_mode, cfg.noise_variance
         )
-        spec = est.spectrum(rec.source_lags, grid, rec.sigma_n_hat)
         detections = est.find_peaks(spec, cfg.peak_threshold)
-        timings["solve_s"] = time.perf_counter() - t0
+        timings["estimate_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         written += _spectrum_csvs(out, spec)
@@ -560,6 +512,18 @@ def run_scenario(
         raise
 
 
+def _simulated_blocks(cfg: ScenarioConfig, design: est.Design):
+    """The configuration's simulated data, as the design samples it."""
+    return compressed_blocks(
+        cfg.sources,
+        design.geometry,
+        design.pattern,
+        cfg.noise_variance,
+        cfg.n_blocks,
+        cfg.master_seed,
+    )
+
+
 def run_certify(cfg: ScenarioConfig) -> dict:
     """Design checks only; no simulation, nothing written."""
     gates = []
@@ -570,7 +534,7 @@ def run_certify(cfg: ScenarioConfig) -> dict:
     return {
         "config": _config_echo(cfg),
         "gates": gates,
-        "certificates": design_certificates(cfg),
+        "certificates": design_certificates(design_of(cfg)),
     }
 
 
@@ -618,22 +582,10 @@ def run_sweep(
 
 
 def _sweep_metrics(cfg: ScenarioConfig):
-    geometry = geometry_of(cfg)
-    grid = grid_of(cfg)
-    pattern = pattern_of(cfg)
-    mats = manifold_and_kr(geometry, grid)
-    snaps = ula_snapshots(
-        cfg.sources, geometry, cfg.noise_variance, cfg.n_blocks, cfg.n_t,
-        cfg.master_seed,
-    )
-    z = temporal_compress(spatial_compress(snaps, geometry), pattern)
-    pairs = est.pair_correlations(z)
-    corr = est.recover_lags(est.build_rct(pattern), pairs)
-    rec = est.recover_angular(
-        mats,
-        est.assemble_all(corr),
-        noise_mode=cfg.noise_mode,
-        noise_variance=cfg.noise_variance if cfg.noise_mode == "known" else None,
+    design = design_of(cfg)
+    grid = design.grid
+    rec, spec = est.spectrum_from_blocks(
+        design, _simulated_blocks(cfg, design), cfg.noise_mode, cfg.noise_variance
     )
     try:
         truth = place_on_grid(cfg.sources, grid, cfg.n_t)
@@ -647,7 +599,6 @@ def _sweep_metrics(cfg: ScenarioConfig):
         if cfg.noise_variance > 0
         else float("nan")
     )
-    spec = est.spectrum(rec.source_lags, grid, rec.sigma_n_hat)
     detections = est.find_peaks(spec, cfg.peak_threshold)
     sines = np.sin(grid.angles)
     hits = 0

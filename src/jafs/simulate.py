@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -116,6 +116,13 @@ def noise_rng(master_seed: int) -> np.random.Generator:
     return _stream(master_seed, _STREAM_NOISE)
 
 
+def band_resolvable(band: tuple, n_taps: int) -> bool:
+    """True iff the band is at least one DFT bin (2*pi/n_taps) wide, the
+    narrowest band a length-n_taps filter resolves."""
+    lo, hi = band
+    return hi - lo + 1e-12 >= 2 * np.pi / n_taps
+
+
 def design_bandpass(band: tuple, n_taps: int) -> np.ndarray:
     """Complex FIR bandpass: windowed frequency-shifted sinc, unit gain at
     band center.
@@ -130,7 +137,7 @@ def design_bandpass(band: tuple, n_taps: int) -> np.ndarray:
     if n_taps < 1:
         raise ValueError("need at least one tap")
     width = hi - lo
-    if width + 1e-12 < 2 * np.pi / n_taps:
+    if not band_resolvable(band, n_taps):
         raise ValueError(
             f"band width {width:.4g} is below the 2*pi/{n_taps} resolution limit"
         )
@@ -202,6 +209,23 @@ def ula_snapshots(
     return SnapshotBlocks(blocks=blocks)
 
 
+def compressed_blocks(
+    sources: Sequence[SourceSpec],
+    geometry: ArrayGeometry,
+    pattern: CosetPattern,
+    noise_variance: float,
+    n_blocks: int,
+    master_seed: int,
+) -> SnapshotBlocks:
+    """Simulated blocks as the compressed sampler sees them: the active
+    antenna rows and coset columns of ula_snapshots.  The full Nyquist
+    array is freed on return, before any estimation allocates."""
+    snaps = ula_snapshots(
+        sources, geometry, noise_variance, n_blocks, pattern.n_t, master_seed
+    )
+    return temporal_compress(spatial_compress(snaps, geometry), pattern)
+
+
 def spatial_compress(snapshots: SnapshotBlocks, geometry: ArrayGeometry) -> SnapshotBlocks:
     """Keep the active-antenna rows of every block, in mark order."""
     marks = list(geometry.active_marks)
@@ -221,7 +245,6 @@ def build_coset_pattern(
     n_t: int,
     m_t: int,
     master_seed: int,
-    ruler_marks: Optional[Iterable[int]] = None,
 ) -> CosetPattern:
     """Coset rows = length-(N_t-1) ruler marks plus seeded random extras.
 
@@ -232,12 +255,7 @@ def build_coset_pattern(
     """
     if n_t < 1:
         raise ValueError("N_t must be >= 1")
-    if n_t == 1:
-        marks = (0,)
-    elif ruler_marks is not None:
-        marks = solve_sparse_ruler(n_t - 1, marks=ruler_marks).marks
-    else:
-        marks = solve_sparse_ruler(n_t - 1).marks
+    marks = (0,) if n_t == 1 else solve_sparse_ruler(n_t - 1).marks
     if m_t < len(marks):
         raise ValueError(
             f"M_t={m_t} is below the ruler cardinality {len(marks)}; "

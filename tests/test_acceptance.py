@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from jafs.estimate import (
+    Design,
     assemble_all,
     build_rct,
     find_peaks,
-    pair_correlations,
     recover_angular,
     recover_lags,
     repetition_matrix,
     spectrum,
+    spectrum_from_blocks,
 )
 from jafs.geometry import (
     check_sine_grid_residues,
@@ -42,9 +43,7 @@ from jafs.simulate import (
     CosetPattern,
     SourceSpec,
     build_coset_pattern,
-    spatial_compress,
-    temporal_compress,
-    ula_snapshots,
+    compressed_blocks,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -76,11 +75,8 @@ def smoke_design():
 
 
 def run_compressed(sources, geo, grid, pattern, noise_var, n_blocks, seed):
-    snaps = ula_snapshots(sources, geo, noise_var, n_blocks, pattern.n_t, seed)
-    z = temporal_compress(spatial_compress(snaps, geo), pattern)
-    corr = recover_lags(build_rct(pattern), pair_correlations(z))
-    mats = manifold_and_kr(geo, grid)
-    return recover_angular(mats, assemble_all(corr))
+    z = compressed_blocks(sources, geo, pattern, noise_var, n_blocks, seed)
+    return spectrum_from_blocks(Design(geo, grid, pattern), z, "estimate", noise_var)[0]
 
 
 # --------------------------------------------------------------------- 1

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jafs import cli, estimate, geometry, model, oracle, scenario, simulate
 from jafs.cli import main
 from jafs.scenario import (
     ConfigError,
@@ -280,6 +281,76 @@ def test_cli_gate_failure_exits_3(tmp_path, capsys):
     path = write_scenario(tmp_path, bad)
     assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 3
     assert "design gate" in capsys.readouterr().err
+
+
+def smoke_copy(tmp_path, old, new):
+    text = SMOKE.read_text()
+    assert old in text
+    return write_scenario(tmp_path, text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("rows = 0 1 2 3 7\n", "rows = 0 1 2 3 7\nseed = abc\n"),
+        ("[noise]\nvariance = 5", "[noise]\nvariance = nan"),
+        ("band_hi_pi = 0.2\nvariance = 5", "band_hi_pi = 0.2\nvariance = inf"),
+        ("band_lo_pi = -0.8", "band_lo_pi = -inf"),
+        ("q = 15\nmode = inverse-sin", "q = 3\nmode = explicit\nangles_deg = -30 nan 30"),
+    ],
+    ids=[
+        "seed-abc",
+        "noise-variance-nan",
+        "source-variance-inf",
+        "band-edge-inf",
+        "grid-angle-nan",
+    ],
+)
+def test_cli_bad_value_exits_2(tmp_path, capsys, old, new):
+    path = smoke_copy(tmp_path, old, new)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "run"])
+def test_cli_unresolvable_band_exits_3_before_simulating(
+    tmp_path, capsys, monkeypatch, command
+):
+    # N_t = 8 resolves bands down to 0.25pi; this one is 0.1pi wide
+    path = smoke_copy(
+        tmp_path,
+        "band_lo_pi = -0.1\nband_hi_pi = 0.2",
+        "band_lo_pi = 0\nband_hi_pi = 0.1",
+    )
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated despite a failed hard gate")
+
+    monkeypatch.setattr(scenario, "compressed_blocks", no_simulation)
+    args = [command, str(path)]
+    if command == "run":
+        args += ["--output-dir", str(tmp_path / "o")]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert "band-resolution" in captured.out + captured.err
+
+
+def test_run_scenario_resolves_design_once(tmp_path, monkeypatch):
+    cfg = load_scenario(SMOKE)
+    calls = {}
+    modules = (cli, estimate, geometry, model, oracle, scenario, simulate)
+    for name, home in (("rank_report", model), ("pattern_of", scenario)):
+        orig = getattr(home, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    run_scenario(cfg, output_dir=str(tmp_path))
+    assert calls == {"rank_report": 1, "pattern_of": 1}
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jafs.estimate import (
     CorrelationSet,
@@ -16,6 +17,7 @@ from jafs.estimate import (
     repetition_matrix,
     spectrum,
 )
+from jafs.geometry import solve_sparse_ruler
 from jafs.model import (
     AngularGrid,
     ArrayGeometry,
@@ -31,6 +33,7 @@ from jafs.oracle import (
 from jafs.simulate import (
     CosetPattern,
     SourceSpec,
+    build_coset_pattern,
     design_bandpass,
     ula_snapshots,
 )
@@ -224,6 +227,28 @@ def test_recover_lags_equals_per_lag_averaging():
             np.testing.assert_allclose(
                 corr.values[i, j], sums / counts, atol=1e-12
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_t=st.integers(1, 16),
+    extras=st.integers(0, 15),
+    m_s=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_recover_lags_closed_form_matches_dense_least_squares(n_t, extras, m_s, seed):
+    ruler = solve_sparse_ruler(n_t - 1).cardinality if n_t > 1 else 1
+    pattern = build_coset_pattern(n_t, min(n_t, ruler + extras), seed)
+    rct = build_rct(pattern)
+    rng = np.random.default_rng(seed)
+    shape = (m_s, m_s, pattern.m_t ** 2)
+    pair_vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = recover_lags(rct, pair_vecs).values
+    ref = np.linalg.lstsq(
+        rct.as_dense(), pair_vecs.reshape(m_s * m_s, -1).T, rcond=None
+    )[0]
+    ref = ref.T.reshape(m_s, m_s, rct.n_lags)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_recover_lags_symmetrize():

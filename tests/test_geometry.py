@@ -82,6 +82,13 @@ def test_heuristic_range_returns_valid_ruler():
     assert not sol.minimal
 
 
+@pytest.mark.parametrize("length", [14, 17, 18, 21])
+def test_heuristic_lengths_return_valid_rulers(length):
+    # lengths whose greedy start covers every lag only with its last mark
+    sol = solve_sparse_ruler(length)
+    assert validate_ruler(sol.marks, length)
+
+
 def test_validate_ruler_examples():
     assert validate_ruler((0, 1, 3), 3)
     assert validate_ruler((0, 2, 3), 3)
