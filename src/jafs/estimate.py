@@ -2,8 +2,12 @@
 
 Stages, in data-flow order:
 
-1. pair_correlations: average vec(z_i z_j^H) over blocks for every
-   ordered antenna pair.
+1. block_gram: the summed Gram of the flattened compressed blocks,
+   the one interface between data and estimator.  accumulate_gram folds
+   simulated chunks into it one at a time, so memory does not grow with
+   N_n; pair_vectors divides by N_n and reshapes it into the averaged
+   vec(z_i z_j^H) of every ordered antenna pair (pair_correlations does
+   both for blocks held in memory).
 2. recover_lags: the 2N_t-1 uncompressed lags from the compressed
    correlations.  The selection-sum system has one 1 per row, so its
    least-squares solution is closed form: each lag is the mean of the
@@ -14,8 +18,13 @@ Stages, in data-flow order:
 5. spectrum: row-wise DFT to the joint angle-frequency power matrix.
 6. find_peaks: detections (angle, frequency support, power).
 
-spectrum_from_blocks runs stages 1-5 over a Design, the sampling design
-and its two system matrices, built once.
+spectrum_from_gram runs everything after the Gram (pair_vectors, then
+stages 2-5) over a Design, the sampling design and its two system
+matrices, built once;
+spectrum_from_blocks wraps it for blocks held in memory.  In a run's
+report.json, timings["gram_s"] holds the Gram updates, timings
+["simulate_s"] the chunk generation that feeds them, and timings
+["estimate_s"] everything from the Gram on.
 
 Lag vectors use one canonical order throughout: [0, 1, .., N_t-1,
 1-N_t, .., -1], i.e. lag k lives at index k mod (2N_t-1).  That is the
@@ -29,7 +38,7 @@ full column rank (certified, not hoped).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.linalg import qr, solve_triangular
@@ -148,19 +157,48 @@ class Design:
         object.__setattr__(self, "rct", build_rct(self.pattern))
 
 
-def pair_correlations(snapshots: SnapshotBlocks) -> np.ndarray:
-    """Averaged vectorized pair correlations, shape (M_s, M_s, M_t**2).
+def block_gram(blocks: np.ndarray) -> np.ndarray:
+    """Sum over blocks of vec(z) vec(z)^H for (N_n, M_s, M_t) blocks, one
+    deterministic matrix product.  Row and column (i, a) sit at index
+    i*M_t + a, so entry [(i,a), (j,b)] = sum_n z_i[n][a] conj(z_j[n][b])."""
+    w = blocks.reshape(blocks.shape[0], -1)
+    return w.T @ w.conj()
+
+
+def accumulate_gram(chunks: Iterable[np.ndarray]):
+    """Fold (blocks, M_s, M_t) chunks into one running block_gram;
+    returns (gram, block count).  Only one chunk is held at a time."""
+    gram, n_blocks = None, 0
+    for chunk in chunks:
+        if gram is None:
+            gram = block_gram(chunk)
+        else:
+            gram += block_gram(chunk)
+        n_blocks += chunk.shape[0]
+    if gram is None:
+        raise ValueError("no blocks to correlate")
+    return gram, n_blocks
+
+
+def pair_vectors(gram: np.ndarray, n_blocks: int, m_t: int) -> np.ndarray:
+    """Averaged vectorized pair correlations from a block_gram, shape
+    (M_s, M_s, M_t**2).
 
     Entry [i, j, a + b*M_t] = (1/N_n) sum_n z_i[n][a] * conj(z_j[n][b]),
-    i.e. vec(R_hat_{z_i,z_j}) column-major.  Computed as one Gram matrix
-    over flattened blocks, which is a single deterministic matrix product.
+    i.e. vec(R_hat_{z_i,z_j}) column-major.
     """
-    z = snapshots.blocks
-    n_n, m_s, m_t = z.shape
-    w = z.reshape(n_n, m_s * m_t)
-    gram = w.T @ w.conj()  # [(i,a), (j,b)] = sum_n z_i[a] conj(z_j[b])
+    size = gram.shape[0]
+    if gram.shape != (size, size) or size % m_t:
+        raise ValueError(f"gram must be square with a multiple of M_t={m_t} rows")
+    m_s = size // m_t
     quad = gram.reshape(m_s, m_t, m_s, m_t)
-    return quad.transpose(0, 2, 3, 1).reshape(m_s, m_s, m_t * m_t) / n_n
+    return quad.transpose(0, 2, 3, 1).reshape(m_s, m_s, m_t * m_t) / n_blocks
+
+
+def pair_correlations(snapshots: SnapshotBlocks) -> np.ndarray:
+    """pair_vectors of the blocks' Gram, shape (M_s, M_s, M_t**2)."""
+    z = snapshots.blocks
+    return pair_vectors(block_gram(z), z.shape[0], z.shape[2])
 
 
 @dataclass(frozen=True)
@@ -418,17 +456,18 @@ def spectrum(
     )
 
 
-def spectrum_from_blocks(
+def spectrum_from_gram(
     design: Design,
-    blocks: SnapshotBlocks,
+    gram: np.ndarray,
+    n_blocks: int,
     noise_mode: str,
     noise_variance: float,
 ):
-    """The whole estimator, stages 1-5: compressed blocks to
-    (AngularRecovery, SpectrumMatrix).  ``noise_variance`` is the
-    configured one; it reaches the angular solve only when
-    ``noise_mode`` is "known"."""
-    corr = recover_lags(design.rct, pair_correlations(blocks))
+    """The whole estimator, stages 1-5: the summed block Gram of N_n
+    compressed blocks to (AngularRecovery, SpectrumMatrix).
+    ``noise_variance`` is the configured one; it reaches the angular
+    solve only when ``noise_mode`` is "known"."""
+    corr = recover_lags(design.rct, pair_vectors(gram, n_blocks, design.pattern.m_t))
     rec = recover_angular(
         design.manifold,
         assemble_all(corr),
@@ -436,6 +475,19 @@ def spectrum_from_blocks(
         noise_variance=noise_variance if noise_mode == "known" else None,
     )
     return rec, spectrum(rec.source_lags, design.grid, rec.sigma_n_hat)
+
+
+def spectrum_from_blocks(
+    design: Design,
+    blocks: SnapshotBlocks,
+    noise_mode: str,
+    noise_variance: float,
+):
+    """spectrum_from_gram over blocks held in memory."""
+    z = blocks.blocks
+    return spectrum_from_gram(
+        design, block_gram(z), z.shape[0], noise_mode, noise_variance
+    )
 
 
 @dataclass(frozen=True)

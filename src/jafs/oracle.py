@@ -21,7 +21,7 @@ from .model import AngularGrid, ArrayGeometry
 from .simulate import (
     CosetPattern,
     SourceSpec,
-    compressed_blocks,
+    block_chunks,
     design_bandpass,
 )
 
@@ -186,8 +186,8 @@ def nyquist_reference(
         active_marks=tuple(range(n_underlying)),
     )
     pattern = CosetPattern(n_t=n_t, rows=tuple(range(n_t)))
-    z = compressed_blocks(
-        sources, full, pattern, noise_variance, n_blocks, master_seed
+    gram, n_blocks = _est.accumulate_gram(
+        block_chunks(sources, full, pattern, noise_variance, n_blocks, master_seed)
     )
     design = _est.Design(full, grid, pattern)
-    return _est.spectrum_from_blocks(design, z, noise_mode, noise_variance)[1]
+    return _est.spectrum_from_gram(design, gram, n_blocks, noise_mode, noise_variance)[1]

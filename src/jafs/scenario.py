@@ -38,7 +38,9 @@ A scenario file is INI-style text with sections::
 Design gates, checked before any simulation: M_t**2 >= 2*N_t - 1 is hard
 (the lag system cannot be overdetermined otherwise), and so is every
 source band being at least 2*pi/N_t wide (the N_t-tap source filters
-resolve nothing narrower); M_s**2 >= Q is a warning (the angular system
+resolve nothing narrower); so is M_t reaching the cardinality of the
+length-(N_t-1) coset ruler when the rows are built from it, checked
+where pattern_of builds them; M_s**2 >= Q is a warning (the angular system
 will be certified anyway); Q <= 2*N_s - 1 is advisory (more grid angles
 than the full co-array could ever resolve).
 """
@@ -50,6 +52,7 @@ import json
 import math
 import os
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass, replace as _replace
 from fractions import Fraction
 from pathlib import Path
@@ -66,12 +69,13 @@ from .geometry import (
 from .model import AngularGrid, ArrayGeometry, inverse_sin_grid
 from .oracle import place_on_grid
 from .simulate import (
+    CosetCardinalityError,
     CosetPattern,
     SourceSpec,
     band_resolvable,
+    block_chunks,
     build_coset_pattern,
-    compressed_blocks,
-    write_snapshots,
+    dump_chunks,
 )
 
 WORKERS_ENV = "JAFS_WORKERS"
@@ -296,7 +300,16 @@ def pattern_of(cfg: ScenarioConfig) -> CosetPattern:
             )
         return pattern
     seed = cfg.coset_seed if cfg.coset_seed is not None else cfg.master_seed
-    return build_coset_pattern(cfg.n_t, cfg.m_t, seed)
+    try:
+        return build_coset_pattern(cfg.n_t, cfg.m_t, seed)
+    except CosetCardinalityError as exc:
+        gate = {
+            "name": "coset-ruler-cardinality",
+            "level": "hard",
+            "passed": False,
+            "detail": str(exc),
+        }
+        raise DesignGateError(f"coset-ruler-cardinality failed: {exc}", gate=gate)
 
 
 def design_of(cfg: ScenarioConfig) -> est.Design:
@@ -441,7 +454,8 @@ def run_scenario(
     output_dir: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> dict:
-    """Full pipeline: design, simulate, correlate, solve, export.
+    """Full pipeline: design, simulate chunk by chunk into a running Gram,
+    solve, export.  No block array is held beyond one chunk.
 
     Writes spectrum CSVs, the angular marginal, and report.json into the
     output directory; returns the report.  Partial outputs are removed if
@@ -470,18 +484,22 @@ def run_scenario(
             )
         timings["design_s"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        z = _simulated_blocks(cfg, design)
-        timings["simulate_s"] = time.perf_counter() - t0
-
+        chunks = _simulated_chunks(cfg, design)
         if cfg.dump_snapshots:
             dump_path = out / "compressed_blocks.bin"
-            write_snapshots(dump_path, z)
             written.append(dump_path)
+            shape = (cfg.n_blocks, design.geometry.m_active, design.pattern.m_t)
+            chunks = dump_chunks(dump_path, chunks, shape)
+        timings["simulate_s"] = 0.0
+        t0 = time.perf_counter()
+        # closing ends the stream, and with it any open dump, on failure
+        with closing(chunks):
+            gram, n_blocks = est.accumulate_gram(_timed(chunks, timings, "simulate_s"))
+        timings["gram_s"] = time.perf_counter() - t0 - timings["simulate_s"]
 
         t0 = time.perf_counter()
-        rec, spec = est.spectrum_from_blocks(
-            design, z, cfg.noise_mode, cfg.noise_variance
+        rec, spec = est.spectrum_from_gram(
+            design, gram, n_blocks, cfg.noise_mode, cfg.noise_variance
         )
         detections = est.find_peaks(spec, cfg.peak_threshold)
         timings["estimate_s"] = time.perf_counter() - t0
@@ -512,9 +530,10 @@ def run_scenario(
         raise
 
 
-def _simulated_blocks(cfg: ScenarioConfig, design: est.Design):
-    """The configuration's simulated data, as the design samples it."""
-    return compressed_blocks(
+def _simulated_chunks(cfg: ScenarioConfig, design: est.Design):
+    """The configuration's simulated data, as the design samples it, in
+    chunks of blocks."""
+    return block_chunks(
         cfg.sources,
         design.geometry,
         design.pattern,
@@ -522,6 +541,19 @@ def _simulated_blocks(cfg: ScenarioConfig, design: est.Design):
         cfg.n_blocks,
         cfg.master_seed,
     )
+
+
+def _timed(items, timings: dict, key: str):
+    """Pass ``items`` through, adding the time spent producing each one to
+    ``timings[key]``."""
+    it = iter(items)
+    while True:
+        t0 = time.perf_counter()
+        item = next(it, None)
+        timings[key] += time.perf_counter() - t0
+        if item is None:
+            return
+        yield item
 
 
 def run_certify(cfg: ScenarioConfig) -> dict:
@@ -584,8 +616,9 @@ def run_sweep(
 def _sweep_metrics(cfg: ScenarioConfig):
     design = design_of(cfg)
     grid = design.grid
-    rec, spec = est.spectrum_from_blocks(
-        design, _simulated_blocks(cfg, design), cfg.noise_mode, cfg.noise_variance
+    gram, n_blocks = est.accumulate_gram(_simulated_chunks(cfg, design))
+    rec, spec = est.spectrum_from_gram(
+        design, gram, n_blocks, cfg.noise_mode, cfg.noise_variance
     )
     try:
         truth = place_on_grid(cfg.sources, grid, cfg.n_t)

@@ -6,20 +6,32 @@ autocorrelation is exactly zero beyond lag N_t-1.  Snapshot blocks group
 N_t consecutive array samples; spatial compression keeps the active
 antenna rows, temporal compression keeps the multi-coset sample columns.
 
+block_chunks is the one simulation path.  It generates blocks in fixed
+chunks of _CHUNK_SAMPLES time samples (whole blocks) and computes only
+the kept rows and columns: each source's FIR outputs at the coset
+columns, steered onto the active antennas, plus the noise draws at those
+positions.  Memory is therefore set by the chunk size, not by N_n.
+compressed_blocks and ula_snapshots (nothing compressed away) gather
+all chunks into one array; scenario runs fold them into a running Gram
+instead (estimate.accumulate_gram), and dump_chunks streams them to a
+file on the way.
+
 Seeding gives every source its own named stream, plus one for the
 additive noise and one for the random extra coset rows.  Streams are
-consumed in a fixed order independent of the block count, so enlarging
-N_n extends each stream instead of reshuffling it.
+consumed in a fixed order independent of the block count and of the
+compression, and the last chunk is computed at full size before it is
+cut, so enlarging N_n appends blocks and leaves every earlier one
+bit-identical.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import solve_sparse_ruler
 from .model import ArrayGeometry, steering_vector
@@ -29,11 +41,15 @@ _STREAM_SOURCE = 1
 _STREAM_NOISE = 2
 _STREAM_COSET = 3
 
-# noise is drawn in fixed chunks of time samples; generation order is
-# (time, antenna, re/im) so any prefix in time is seed-stable
-_NOISE_CHUNK = 1 << 16
+# Nyquist time samples per simulated chunk, rounded down to whole blocks:
+# 195 blocks at N_t = 84, 2048 at N_t = 8
+_CHUNK_SAMPLES = 1 << 14
 
 _SNAP_MAGIC = b"JAFSSNAP"
+
+
+class CosetCardinalityError(ValueError):
+    """M_t is below the cardinality of the length-(N_t-1) coset ruler."""
 
 
 @dataclass(frozen=True)
@@ -152,6 +168,27 @@ def design_bandpass(band: tuple, n_taps: int) -> np.ndarray:
     return taps / np.abs(freq_response)
 
 
+def _tap_matrix(taps: np.ndarray, columns: Sequence[int], n_t: int) -> np.ndarray:
+    """(2N_t-1, len(columns)) matrix H such that window @ H gives a
+    block's FIR outputs at ``columns``, where window holds the 2N_t-1
+    white inputs from the block's first sample on (the N_t-1 inputs past
+    the block feed its late outputs).  Output r of a block is
+    sum_m taps[m] * window[r + N_t-1 - m]."""
+    H = np.zeros((2 * n_t - 1, len(columns)), dtype=complex)
+    for c, r in enumerate(columns):
+        H[r : r + n_t, c] = taps[::-1]
+    return H
+
+
+def _fir_blocks(white: np.ndarray, tap_matrix: np.ndarray, n_t: int) -> np.ndarray:
+    """FIR outputs of every whole block of ``white``: one window per block
+    (stride N_t, length 2N_t-1) times the tap matrix, shape
+    (blocks, tap_matrix columns).  ``white`` holds N_t-1 inputs past the
+    last block."""
+    windows = sliding_window_view(white, 2 * n_t - 1)[::n_t]
+    return np.ascontiguousarray(windows) @ tap_matrix
+
+
 def synth_source(
     spec: SourceSpec,
     total_samples: int,
@@ -160,53 +197,99 @@ def synth_source(
 ) -> np.ndarray:
     """WSS source sequence: i.i.d. circular complex Gaussian(0, variance)
     through the band's FIR taps.  The first n_taps-1 filter outputs are
-    transient and discarded, so every returned sample is stationary."""
+    transient and discarded, so every returned sample is stationary.
+    Computed as block_chunks computes each source, blocks of n_taps
+    samples at a time; the input draws run to the end of the last block."""
     if total_samples < 0:
         raise ValueError("total_samples must be >= 0")
     taps = design_bandpass(spec.band, n_taps)
-    n_in = total_samples + n_taps - 1
-    draws = rng.standard_normal((n_in, 2))
-    white = np.sqrt(spec.input_variance / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
+    n_in = -(-total_samples // n_taps) * n_taps + n_taps - 1
+    white = np.empty(n_in, dtype=complex)
+    rng.standard_normal(out=white.view(np.float64))
+    white *= np.sqrt(spec.input_variance / 2.0)
     if total_samples == 0:
         return np.zeros(0, dtype=complex)
-    return fftconvolve(white, taps, mode="valid")
+    full = _tap_matrix(taps, range(n_taps), n_taps)
+    return _fir_blocks(white, full, n_taps).ravel()[:total_samples]
 
 
-def ula_snapshots(
+def chunk_blocks(n_t: int) -> int:
+    """Blocks per chunk that block_chunks yields at block length n_t."""
+    return max(1, _CHUNK_SAMPLES // n_t)
+
+
+def block_chunks(
     sources: Sequence[SourceSpec],
     geometry: ArrayGeometry,
+    pattern: CosetPattern,
     noise_variance: float,
     n_blocks: int,
-    n_t: int,
     master_seed: int,
-) -> SnapshotBlocks:
-    """Uncompressed array output, blocked: X[n] = full-ULA samples
-    n*N_t .. (n+1)*N_t - 1.
+) -> Iterator[np.ndarray]:
+    """The one simulator: N_n blocks as the sampler sees them, in chunks
+    of chunk_blocks(N_t) blocks, each a fresh (blocks, M_s, M_t) array of
+    the active antenna rows (mark order) and coset columns (row order).
 
-    Each source k contributes steering_vector(theta_k) times its scalar
+    Block n holds the ULA samples n*N_t .. (n+1)*N_t - 1.  Source k
+    contributes steering_vector(theta_k) times its FIR-filtered white
     sequence; noise is i.i.d. circular complex Gaussian per antenna and
-    time sample.  Deterministic in master_seed.
+    time sample.  Every stream is drawn in one fixed order (time, then
+    antenna for the noise) for all N_t*N_s Nyquist samples, and only the
+    kept ones are computed further.  The last chunk is computed at full
+    size and cut, so a block's value never depends on N_n: the blocks of
+    a shorter run are a bit-exact prefix of a longer one.  Raises
+    ValueError on non-finite data, chunk by chunk.
     """
     if noise_variance < 0:
         raise ValueError("noise variance must be >= 0")
-    n_s = geometry.n_underlying
-    positions = np.arange(n_s) * float(geometry.spacing_d)
-    total = n_blocks * n_t
-    x = np.zeros((n_s, total), dtype=complex)
-    for k, spec in enumerate(sources):
-        seq = synth_source(spec, total, n_t, source_rng(master_seed, k))
-        x += np.outer(steering_vector(spec.true_doa, positions), seq)
-    if noise_variance > 0:
-        rng = noise_rng(master_seed)
-        scale = np.sqrt(noise_variance / 2.0)
-        for start in range(0, total, _NOISE_CHUNK):
-            stop = min(start + _NOISE_CHUNK, total)
-            draws = rng.standard_normal((stop - start, n_s, 2))
-            x[:, start:stop] += scale * (draws[..., 0] + 1j * draws[..., 1]).T
-    blocks = np.ascontiguousarray(
-        x.reshape(n_s, n_blocks, n_t).transpose(1, 0, 2)
-    )
-    return SnapshotBlocks(blocks=blocks)
+    n_t, n_s = pattern.n_t, geometry.n_underlying
+    marks, cols = np.asarray(geometry.active_marks), np.asarray(pattern.rows)
+    per = chunk_blocks(n_t)
+    span = per * n_t
+    # (antenna, column) -> position in one block's (time, antenna) draws
+    noise_index = cols[None, :] * n_s + marks[:, None]
+    noise_scale = np.sqrt(noise_variance / 2.0)
+    noise = np.empty((span, n_s), dtype=complex) if noise_variance > 0 else None
+    nrng = noise_rng(master_seed)
+    # (M_s, K): one steering column per source
+    steer = np.array([steering_vector(s.true_doa, geometry.positions) for s in sources]).T
+    # per source: stream, input scale, tap matrix, input window buffer
+    # whose last N_t-1 samples carry over to the next chunk
+    feeds = [
+        (
+            source_rng(master_seed, k),
+            np.sqrt(spec.input_variance / 2.0),
+            _tap_matrix(design_bandpass(spec.band, n_t), cols, n_t),
+            np.empty(span + n_t - 1, dtype=complex),
+        )
+        for k, spec in enumerate(sources)
+    ]
+    filtered = np.empty((len(sources), per, pattern.m_t), dtype=complex)
+    done = 0
+    while done < n_blocks:
+        for k, (rng, scale, taps, white) in enumerate(feeds):
+            if done:
+                white[: n_t - 1] = white[span:]
+                fresh = white[n_t - 1 :]
+            else:
+                fresh = white
+            rng.standard_normal(out=fresh.view(np.float64))
+            fresh *= scale
+            filtered[k] = _fir_blocks(white, taps, n_t)
+        if noise is None:
+            chunk = np.zeros((per, geometry.m_active, pattern.m_t), dtype=complex)
+        else:
+            nrng.standard_normal(out=noise.view(np.float64))
+            chunk = np.take(noise.reshape(per, n_t * n_s), noise_index, axis=1)
+            chunk *= noise_scale
+        if feeds:
+            steered = steer @ filtered.reshape(len(feeds), per * pattern.m_t)
+            chunk += steered.reshape(-1, per, pattern.m_t).transpose(1, 0, 2)
+        chunk = chunk[: n_blocks - done]
+        if not np.isfinite(chunk).all():
+            raise ValueError("blocks must be finite")
+        done += per
+        yield chunk
 
 
 def compressed_blocks(
@@ -217,13 +300,32 @@ def compressed_blocks(
     n_blocks: int,
     master_seed: int,
 ) -> SnapshotBlocks:
-    """Simulated blocks as the compressed sampler sees them: the active
-    antenna rows and coset columns of ula_snapshots.  The full Nyquist
-    array is freed on return, before any estimation allocates."""
-    snaps = ula_snapshots(
-        sources, geometry, noise_variance, n_blocks, pattern.n_t, master_seed
-    )
-    return temporal_compress(spatial_compress(snaps, geometry), pattern)
+    """All of block_chunks' chunks in one array, shape (N_n, M_s, M_t)."""
+    out = np.empty((n_blocks, geometry.m_active, pattern.m_t), dtype=complex)
+    start = 0
+    for chunk in block_chunks(
+        sources, geometry, pattern, noise_variance, n_blocks, master_seed
+    ):
+        out[start : start + len(chunk)] = chunk
+        start += len(chunk)
+    return SnapshotBlocks(blocks=out)
+
+
+def ula_snapshots(
+    sources: Sequence[SourceSpec],
+    geometry: ArrayGeometry,
+    noise_variance: float,
+    n_blocks: int,
+    n_t: int,
+    master_seed: int,
+) -> SnapshotBlocks:
+    """Uncompressed array output, blocked: every antenna of the underlying
+    ULA and every Nyquist sample, shape (N_n, N_s, N_t).  The same blocks
+    as compressed_blocks with nothing compressed away."""
+    n_s = geometry.n_underlying
+    full = ArrayGeometry(n_s, geometry.spacing_d, tuple(range(n_s)))
+    every = CosetPattern(n_t=n_t, rows=tuple(range(n_t)))
+    return compressed_blocks(sources, full, every, noise_variance, n_blocks, master_seed)
 
 
 def spatial_compress(snapshots: SnapshotBlocks, geometry: ArrayGeometry) -> SnapshotBlocks:
@@ -257,7 +359,7 @@ def build_coset_pattern(
         raise ValueError("N_t must be >= 1")
     marks = (0,) if n_t == 1 else solve_sparse_ruler(n_t - 1).marks
     if m_t < len(marks):
-        raise ValueError(
+        raise CosetCardinalityError(
             f"M_t={m_t} is below the ruler cardinality {len(marks)}; "
             "the lag-recovery system cannot reach full column rank this way"
         )
@@ -275,12 +377,20 @@ def write_snapshots(path, snapshots: SnapshotBlocks) -> None:
     """Binary dump: 32-byte little-endian header (8-byte magic, then
     uint64 rows, columns, block count) followed by complex128 block data,
     row-major per block (interleaved re/im float64)."""
-    n_blocks, rows, cols = snapshots.shape
-    header = _SNAP_MAGIC + struct.pack("<QQQ", rows, cols, n_blocks)
-    data = np.ascontiguousarray(snapshots.blocks, dtype=np.complex128)
+    for _ in dump_chunks(path, (snapshots.blocks,), snapshots.shape):
+        pass
+
+
+def dump_chunks(path, chunks: Iterable[np.ndarray], shape: tuple) -> Iterator[np.ndarray]:
+    """Pass block chunks through unchanged while writing them to ``path``
+    in write_snapshots' format; ``shape`` is the (N_n, rows, columns) of
+    all chunks together, written to the header up front."""
+    n_blocks, rows, cols = shape
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.astype("<c16", copy=False).tobytes())
+        fh.write(_SNAP_MAGIC + struct.pack("<QQQ", rows, cols, n_blocks))
+        for chunk in chunks:
+            fh.write(np.ascontiguousarray(chunk, dtype="<c16"))
+            yield chunk
 
 
 def read_snapshots(path) -> SnapshotBlocks:

@@ -1,6 +1,8 @@
 """Scenario parsing, design gates, and the command-line front end."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +226,67 @@ def test_run_scenario_snapshot_dump(tmp_path):
     assert blocks.shape == (50, 5, 5)
 
 
+def dumping_scenario(tmp_path):
+    """MINIMAL with a block dump, over two chunks and a cut third one."""
+    n_blocks = 2 * simulate.chunk_blocks(8) + 7
+    text = MINIMAL.replace("n_blocks = 50", f"n_blocks = {n_blocks}")
+    return load_scenario(write_scenario(tmp_path, text + "dump_snapshots = true\n"))
+
+
+def test_snapshot_dump_streams_the_simulated_blocks(tmp_path):
+    cfg = dumping_scenario(tmp_path)
+    out = tmp_path / "dumped"
+    run_scenario(cfg, output_dir=str(out))
+    design = scenario.design_of(cfg)
+    expect = simulate.compressed_blocks(
+        cfg.sources,
+        design.geometry,
+        design.pattern,
+        cfg.noise_variance,
+        cfg.n_blocks,
+        cfg.master_seed,
+    )
+    reference = tmp_path / "reference.bin"
+    simulate.write_snapshots(reference, expect)
+    assert (out / "compressed_blocks.bin").read_bytes() == reference.read_bytes()
+
+
+def test_failed_run_removes_partial_dump(tmp_path, monkeypatch):
+    cfg = dumping_scenario(tmp_path)
+    seen = []
+    orig = estimate.block_gram
+
+    def fail_on_second_chunk(blocks):
+        seen.append(len(blocks))
+        if len(seen) == 2:
+            raise RuntimeError("estimator failed mid-stream")
+        return orig(blocks)
+
+    monkeypatch.setattr(estimate, "block_gram", fail_on_second_chunk)
+    out = tmp_path / "dumped"
+    with pytest.raises(RuntimeError):
+        run_scenario(cfg, output_dir=str(out))
+    assert len(seen) == 2
+    assert not (out / "compressed_blocks.bin").exists()
+
+
+def test_run_scenario_memory_flat_in_block_count(tmp_path):
+    # blocks are streamed into a running Gram, so peak memory is set by
+    # the chunk size, not by the block count
+    cfg = load_scenario(SMOKE)
+    peaks = {}
+    for n_blocks in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            run_scenario(
+                replace(cfg, n_blocks=n_blocks), output_dir=str(tmp_path / str(n_blocks))
+            )
+            peaks[n_blocks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200_000] <= 1.5 * peaks[20_000], peaks
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -326,7 +389,7 @@ def test_cli_unresolvable_band_exits_3_before_simulating(
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated despite a failed hard gate")
 
-    monkeypatch.setattr(scenario, "compressed_blocks", no_simulation)
+    monkeypatch.setattr(scenario, "block_chunks", no_simulation)
     args = [command, str(path)]
     if command == "run":
         args += ["--output-dir", str(tmp_path / "o")]
@@ -335,11 +398,12 @@ def test_cli_unresolvable_band_exits_3_before_simulating(
     assert "band-resolution" in captured.out + captured.err
 
 
-def test_run_scenario_resolves_design_once(tmp_path, monkeypatch):
-    cfg = load_scenario(SMOKE)
+def count_calls(monkeypatch, names):
+    """Count calls of each (name, home module) wherever the package holds
+    a reference to it; returns the live count dict."""
     calls = {}
     modules = (cli, estimate, geometry, model, oracle, scenario, simulate)
-    for name, home in (("rank_report", model), ("pattern_of", scenario)):
+    for name, home in names:
         orig = getattr(home, name)
 
         def counted(*args, _orig=orig, _name=name, **kwargs):
@@ -349,6 +413,49 @@ def test_run_scenario_resolves_design_once(tmp_path, monkeypatch):
         for mod in modules:
             if getattr(mod, name, None) is orig:
                 monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "sweep"])
+def test_cli_m_t_below_coset_ruler_cardinality_exits_3(
+    tmp_path, capsys, monkeypatch, command
+):
+    # the flagship's length-83 coset ruler has 16 marks; m_t = 13 still
+    # passes the M_t^2 >= 2N_t-1 gate
+    text = FLAGSHIP.read_text()
+    assert "m_t = 34" in text
+    path = write_scenario(tmp_path, text.replace("m_t = 34", "m_t = 13", 1))
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated despite a failed hard gate")
+
+    monkeypatch.setattr(scenario, "block_chunks", no_simulation)
+    calls = count_calls(monkeypatch, [("solve_sparse_ruler", geometry)])
+    args = {
+        "certify": ["certify", str(path)],
+        "run": ["run", str(path), "--output-dir", str(tmp_path / "o")],
+        "sweep": [
+            "sweep", str(path), "--param", "m_t", "--values", "13",
+            "--output-dir", str(tmp_path / "o"),
+        ],
+    }[command]
+    assert main(args) == 3
+    assert "coset-ruler-cardinality" in capsys.readouterr().err
+    assert calls == {"solve_sparse_ruler": 1}
+
+
+def test_coset_ruler_cardinality_gate_record():
+    cfg = replace(load_scenario(FLAGSHIP), m_t=13)
+    with pytest.raises(DesignGateError) as info:
+        scenario.pattern_of(cfg)
+    gate = info.value.gate
+    assert gate["name"] == "coset-ruler-cardinality"
+    assert gate["level"] == "hard" and gate["passed"] is False
+
+
+def test_run_scenario_resolves_design_once(tmp_path, monkeypatch):
+    cfg = load_scenario(SMOKE)
+    calls = count_calls(monkeypatch, [("rank_report", model), ("pattern_of", scenario)])
     run_scenario(cfg, output_dir=str(tmp_path))
     assert calls == {"rank_report": 1, "pattern_of": 1}
 

@@ -1,5 +1,7 @@
 """Lag recovery, angular recovery, spectrum, and peak picking."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,15 +9,20 @@ from hypothesis import given, settings, strategies as st
 from jafs.estimate import (
     CorrelationSet,
     RankDeficiencyError,
+    accumulate_gram,
     assemble_all,
     assemble_spatial,
+    block_gram,
     build_rct,
     find_peaks,
     pair_correlations,
+    pair_vectors,
     recover_angular,
     recover_lags,
     repetition_matrix,
     spectrum,
+    spectrum_from_blocks,
+    spectrum_from_gram,
 )
 from jafs.geometry import solve_sparse_ruler
 from jafs.model import (
@@ -30,13 +37,20 @@ from jafs.oracle import (
     true_source_autocorr,
     true_vec_ry,
 )
+from jafs.scenario import design_of, load_scenario
 from jafs.simulate import (
     CosetPattern,
+    SnapshotBlocks,
     SourceSpec,
+    block_chunks,
     build_coset_pattern,
+    chunk_blocks,
+    compressed_blocks,
     design_bandpass,
     ula_snapshots,
 )
+
+SMOKE = Path(__file__).resolve().parent.parent / "scenarios" / "smoke.scenario"
 
 
 def toeplitz_from_lags(r, n_t):
@@ -139,8 +153,6 @@ def test_rct_matches_kronecker_compression():
 def test_pair_correlations_single_block_outer_product():
     rng = np.random.default_rng(5)
     z = rng.standard_normal((1, 2, 3)) + 1j * rng.standard_normal((1, 2, 3))
-    from jafs.simulate import SnapshotBlocks
-
     vals = pair_correlations(SnapshotBlocks(z))
     assert vals.shape == (2, 2, 9)
     for i in range(2):
@@ -517,3 +529,48 @@ def test_find_peaks_threshold_suppresses_weak_cells():
     lags[4, 0] = 0.5  # below threshold fraction of the max marginal
     dets = find_peaks(spectrum(lags, grid), power_fraction_threshold=0.25)
     assert [d.grid_index for d in dets] == [1]
+
+
+# ------------------------------------------------------------ Gram path
+
+
+def test_pair_correlations_is_gram_reshaped():
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((40, 3, 4)) + 1j * rng.standard_normal((40, 3, 4))
+    pairs = pair_correlations(SnapshotBlocks(z))
+    # entry [i, j, a + b*M_t] averages z_i[a] conj(z_j[b])
+    expect = np.einsum("nia,njb->ijba", z, z.conj()).reshape(3, 3, 16) / 40
+    np.testing.assert_allclose(pairs, expect, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(pairs, pair_vectors(block_gram(z), 40, 4))
+    with pytest.raises(ValueError):
+        pair_vectors(block_gram(z), 40, 5)
+
+
+def test_streamed_gram_matches_blocks_path():
+    cfg = load_scenario(SMOKE)
+    design = design_of(cfg)
+    n_blocks = 2 * chunk_blocks(cfg.n_t) + 11
+    args = (
+        cfg.sources,
+        design.geometry,
+        design.pattern,
+        cfg.noise_variance,
+        n_blocks,
+        cfg.master_seed,
+    )
+    gram, count = accumulate_gram(block_chunks(*args))
+    assert count == n_blocks
+    rec, streamed = spectrum_from_gram(
+        design, gram, count, cfg.noise_mode, cfg.noise_variance
+    )
+    ref_rec, whole = spectrum_from_blocks(
+        design, compressed_blocks(*args), cfg.noise_mode, cfg.noise_variance
+    )
+    scale = np.abs(whole.values).max()
+    assert np.abs(streamed.values - whole.values).max() <= 1e-12 * scale
+    assert rec.sigma_n_hat == pytest.approx(ref_rec.sigma_n_hat, rel=1e-12)
+
+
+def test_accumulate_gram_rejects_no_blocks():
+    with pytest.raises(ValueError):
+        accumulate_gram(iter(()))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jafs.model import ArrayGeometry
 from jafs.simulate import (
@@ -9,6 +10,8 @@ from jafs.simulate import (
     SnapshotBlocks,
     SourceSpec,
     build_coset_pattern,
+    chunk_blocks,
+    compressed_blocks,
     design_bandpass,
     noise_rng,
     read_snapshots,
@@ -124,6 +127,18 @@ def test_synth_source_white_case_unit_variance():
     assert abs(np.mean(x * x)) < 5 / np.sqrt(n)
 
 
+@pytest.mark.parametrize("total, n_taps", [(1000, 8), (997, 84), (50, 3)])
+def test_synth_source_matches_direct_convolution(total, n_taps):
+    # the blocked FIR against numpy's direct 'valid' convolution of the
+    # same input draws; only the summation order differs
+    spec = SourceSpec(0.0, (-0.3 * np.pi, 0.4 * np.pi), 2.0)
+    draws = source_rng(4, 0).standard_normal((total + n_taps - 1, 2))
+    white = np.sqrt(spec.input_variance / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
+    expect = np.convolve(white, design_bandpass(spec.band, n_taps), mode="valid")
+    got = synth_source(spec, total, n_taps, source_rng(4, 0))
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
+
+
 def test_synth_source_zero_length():
     spec = SourceSpec(0.0, TABLE_BAND, 1.0)
     assert synth_source(spec, 0, 84, source_rng(0, 0)).size == 0
@@ -188,18 +203,60 @@ def test_snapshots_deterministic_and_seed_sensitive():
 
 
 def test_snapshots_prefix_stable_in_block_count():
-    # growing the acquisition must not rewrite earlier blocks: the noise
-    # stream is drawn in fixed chunks (bit-exact prefix) and the source
-    # stream reuses the same draws, with only FFT-convolution rounding
-    # depending on the total length
+    # growing the acquisition must not rewrite earlier blocks: every
+    # stream is drawn in one fixed order and every chunk is computed at
+    # full size, so the prefix is bit-exact
     spec = SourceSpec(-0.2, (-0.8 * np.pi, -0.5 * np.pi), 5.0)
     short = ula_snapshots((spec,), small_geometry(), 2.0, 5, 8, master_seed=3)
     long = ula_snapshots((spec,), small_geometry(), 2.0, 40, 8, master_seed=3)
-    np.testing.assert_allclose(long.blocks[:5], short.blocks, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(long.blocks[:5], short.blocks)
 
     noise_short = ula_snapshots((), small_geometry(), 2.0, 5, 8, master_seed=3)
     noise_long = ula_snapshots((), small_geometry(), 2.0, 40, 8, master_seed=3)
     np.testing.assert_array_equal(noise_long.blocks[:5], noise_short.blocks)
+
+
+PREFIX_N_T = 64
+PREFIX_CHUNK = chunk_blocks(PREFIX_N_T)
+PREFIX_SOURCES = (
+    SourceSpec(-0.2, (-0.8 * np.pi, -0.5 * np.pi), 5.0),
+    SourceSpec(0.7, (0.1 * np.pi, 0.3 * np.pi), 3.0),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n_short=st.integers(1, 2 * PREFIX_CHUNK + 2),
+    extra=st.integers(1, 2 * PREFIX_CHUNK + 2),
+)
+@example(n_short=PREFIX_CHUNK, extra=1)
+@example(n_short=PREFIX_CHUNK - 1, extra=2)
+@example(n_short=1, extra=2 * PREFIX_CHUNK)
+def test_prefix_exact_across_chunk_boundaries(n_short, extra):
+    assert PREFIX_CHUNK > 1
+    n_long = n_short + extra
+    geo = small_geometry()
+    pattern = CosetPattern(PREFIX_N_T, (0, 1, 5, 17, 40, 63))
+    for simulate in (
+        lambda n: ula_snapshots(PREFIX_SOURCES, geo, 2.0, n, PREFIX_N_T, 3),
+        lambda n: compressed_blocks(PREFIX_SOURCES, geo, pattern, 2.0, n, 3),
+    ):
+        short, long = simulate(n_short), simulate(n_long)
+        assert long.n_blocks == n_long
+        np.testing.assert_array_equal(long.blocks[:n_short], short.blocks)
+
+
+def test_compressed_blocks_are_compressed_snapshots():
+    # the compressed path computes only the kept rows and columns; it
+    # must agree with compressing the full array up to rounding of the
+    # steering product
+    geo = small_geometry()
+    pattern = CosetPattern(PREFIX_N_T, (0, 1, 5, 17, 40, 63))
+    n = PREFIX_CHUNK + 3
+    full = ula_snapshots(PREFIX_SOURCES, geo, 2.0, n, PREFIX_N_T, 3)
+    kept = compressed_blocks(PREFIX_SOURCES, geo, pattern, 2.0, n, 3)
+    expect = temporal_compress(spatial_compress(full, geo), pattern)
+    np.testing.assert_allclose(kept.blocks, expect.blocks, rtol=0, atol=1e-12)
 
 
 def test_snapshot_power_bookkeeping():
