@@ -12,7 +12,8 @@ Stages, in data-flow order:
    correlations.  The selection-sum system has one 1 per row, so its
    least-squares solution is closed form: each lag is the mean of the
    coset row pairs that realize it.
-3. assemble_spatial: regroup recovered lags into vec(R_y[k]) per lag.
+3. assemble_all: regroup recovered lags into vec(R_y[k]), one column
+   per lag.
 4. recover_angular: least-squares inversion of the spatial Khatri-Rao
    system, giving per-grid-angle lag vectors and the noise power.
 5. spectrum: row-wise DFT to the joint angle-frequency power matrix.
@@ -231,11 +232,7 @@ class CorrelationSet:
         return k % self.n_lags
 
 
-def recover_lags(
-    rct: RctMatrix,
-    pair_vecs: np.ndarray,
-    symmetrize: bool = False,
-) -> CorrelationSet:
+def recover_lags(rct: RctMatrix, pair_vecs: np.ndarray) -> CorrelationSet:
     """Least-squares lag recovery for every antenna pair at once.
 
     Each row of the selection-sum matrix holds a single 1, so its normal
@@ -244,10 +241,6 @@ def recover_lags(
     per-lag pair counts.  Refuses to run when some lag has no pair, where
     the system is rank deficient (a coset design failure, not a data
     problem).
-
-    Hermitian pairing r[i,j,-k] = conj(r[j,i,k]) holds only statistically;
-    ``symmetrize`` averages the two estimates, default off so results
-    match the plain least-squares description.
     """
     counts = rct.pair_counts
     if not counts.all():
@@ -267,22 +260,14 @@ def recover_lags(
     rhs = pair_vecs.reshape(m_s * m_s, -1)[:, order]
     sums = np.add.reduceat(rhs, starts, axis=1)
     values = (sums / counts).reshape(m_s, m_s, rct.n_lags)
-    if symmetrize:
-        rev = (-np.arange(rct.n_lags)) % rct.n_lags
-        mirror = values.conj().transpose(1, 0, 2)[:, :, rev]
-        values = 0.5 * (values + mirror)
     return CorrelationSet(n_t=rct.n_t, values=values)
 
 
-def assemble_spatial(corr: CorrelationSet, k: int) -> np.ndarray:
-    """vec(R_y[k]), column-major: entry i + j*M_s is r_{y_i,y_j}[k].
-    This is exactly the row order the Khatri-Rao matrix assumes."""
-    return corr.values[:, :, corr.lag_index(k)].flatten(order="F")
-
-
 def assemble_all(corr: CorrelationSet) -> np.ndarray:
-    """All lags at once: column l of the result is vec(R_y) at canonical
-    lag index l; shape (M_s**2, 2N_t-1)."""
+    """vec(R_y[k]) for every lag, shape (M_s**2, 2N_t-1): column l is the
+    lag at canonical index l, column-major, so entry i + j*M_s is
+    r_{y_i,y_j}[k].  This is exactly the row order the Khatri-Rao matrix
+    assumes."""
     m = corr.m_s
     return corr.values.transpose(1, 0, 2).reshape(m * m, corr.n_lags)
 

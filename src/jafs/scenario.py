@@ -35,14 +35,18 @@ A scenario file is INI-style text with sections::
     ; workers = 4            ; also settable via JAFS_WORKERS
     ; dump_snapshots = true  ; write compressed blocks next to the CSVs
 
-Design gates, checked before any simulation: M_t**2 >= 2*N_t - 1 is hard
-(the lag system cannot be overdetermined otherwise), and so is every
-source band being at least 2*pi/N_t wide (the N_t-tap source filters
-resolve nothing narrower); so is M_t reaching the cardinality of the
-length-(N_t-1) coset ruler when the rows are built from it, checked
-where pattern_of builds them; M_s**2 >= Q is a warning (the angular system
-will be certified anyway); Q <= 2*N_s - 1 is advisory (more grid angles
-than the full co-array could ever resolve).
+resolve(cfg) gates, builds and certifies the design for run, certify
+and sweep alike, before anything is simulated: certify reports every gate
+record, run and sweep stop on the first failed hard one.  Hard gates:
+temporal-overdetermination (M_t**2 >= 2*N_t - 1, else the lag system is
+underdetermined); band-resolution (every source band at least 2*pi/N_t
+wide, all the N_t-tap source filters resolve); coset-ruler-cardinality
+(M_t reaches the cardinality of the length-(N_t-1) coset ruler when the
+rows are built from it; recorded only when it fails, since then no
+design exists); lag-coverage (the coset rows realize every lag);
+kr-rank (the Khatri-Rao matrix has rank Q).  M_s**2 >= Q is a warning
+(the angular system is certified anyway); Q <= 2*N_s - 1 is advisory
+(more grid angles than the full co-array could ever resolve).
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from contextlib import closing
 from dataclasses import asdict, dataclass, replace as _replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +69,7 @@ from .geometry import (
     check_sine_grid_residues,
     check_virtual_ula,
     difference_set,
+    solve_sparse_ruler,
 )
 from .model import AngularGrid, ArrayGeometry, inverse_sin_grid
 from .oracle import place_on_grid
@@ -88,16 +93,16 @@ class ConfigError(ValueError):
 class DesignGateError(RuntimeError):
     """A hard design gate failed; carries the gate record."""
 
-    def __init__(self, message: str, gate: Optional[dict] = None):
+    def __init__(self, message: str, gate: dict):
         super().__init__(message)
-        self.gate = gate or {}
+        self.gate = gate
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     n_underlying: int
     spacing: float
-    marks: Optional[tuple]  # None -> solve the (N_s-1) ruler
+    marks: tuple  # "marks = solve" is solved at load
     n_t: int
     m_t: int
     coset_rows: Optional[tuple]
@@ -178,6 +183,14 @@ def load_scenario(path) -> ScenarioConfig:
     rows_raw = coset.get("rows")
     coset_rows = _parse_marks(rows_raw) if rows_raw else None
     coset_seed = _parse_int(coset, "seed") if coset.get("seed") else None
+    try:
+        if marks is None:
+            marks = solve_sparse_ruler(n_underlying - 1).marks
+        ArrayGeometry(n_underlying=n_underlying, spacing_d=spacing, active_marks=marks)
+        if coset_rows is not None:
+            CosetPattern(n_t=n_t, rows=coset_rows)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc))
 
     grid_sec = parser["grid"]
     grid_q = _parse_int(grid_sec, "q", minimum=1)
@@ -244,7 +257,7 @@ def load_scenario(path) -> ScenarioConfig:
     if dump not in ("true", "false", "yes", "no", "1", "0"):
         raise ConfigError("[run] dump_snapshots must be a boolean")
 
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         n_underlying=n_underlying,
         spacing=spacing,
         marks=marks,
@@ -264,24 +277,13 @@ def load_scenario(path) -> ScenarioConfig:
         workers=workers,
         dump_snapshots=dump in ("true", "yes", "1"),
     )
-    try:
-        geometry_of(cfg)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc))
-    return cfg
 
 
 def geometry_of(cfg: ScenarioConfig) -> ArrayGeometry:
-    if cfg.marks is None:
-        from .geometry import solve_sparse_ruler
-
-        marks = solve_sparse_ruler(cfg.n_underlying - 1).marks
-    else:
-        marks = cfg.marks
     return ArrayGeometry(
         n_underlying=cfg.n_underlying,
         spacing_d=cfg.spacing,
-        active_marks=tuple(marks),
+        active_marks=tuple(cfg.marks),
     )
 
 
@@ -299,62 +301,91 @@ def pattern_of(cfg: ScenarioConfig) -> CosetPattern:
                 f"explicit coset rows count {pattern.m_t} != m_t {cfg.m_t}"
             )
         return pattern
+    if cfg.m_t > cfg.n_t:
+        raise ConfigError(f"m_t = {cfg.m_t} exceeds n_t = {cfg.n_t}")
     seed = cfg.coset_seed if cfg.coset_seed is not None else cfg.master_seed
     try:
         return build_coset_pattern(cfg.n_t, cfg.m_t, seed)
     except CosetCardinalityError as exc:
-        gate = {
-            "name": "coset-ruler-cardinality",
-            "level": "hard",
-            "passed": False,
-            "detail": str(exc),
-        }
+        gate = _gate_record("coset-ruler-cardinality", "hard", False, str(exc))
         raise DesignGateError(f"coset-ruler-cardinality failed: {exc}", gate=gate)
 
 
-def design_of(cfg: ScenarioConfig) -> est.Design:
-    """The configuration's design, resolved once per run."""
-    return est.Design(geometry_of(cfg), grid_of(cfg), pattern_of(cfg))
+def _gate_record(name: str, level: str, passed: bool, detail: str) -> dict:
+    return {"name": name, "level": level, "passed": bool(passed), "detail": detail}
 
 
 def check_gates(cfg: ScenarioConfig) -> list:
-    """Cross-field design gates; raises DesignGateError on the first
-    failed hard gate, returns all gate records (including warnings)
-    otherwise."""
+    """Records of the cross-field design gates, which need no design;
+    failed ones included (require_gates acts on them)."""
     m_s = geometry_of(cfg).m_active
     narrowest = min((s.band[1] - s.band[0] for s in cfg.sources), default=2 * np.pi)
     bin_pi = 2 / cfg.n_t
-    checks = [
-        (
+    return [
+        _gate_record(
             "temporal-overdetermination",
             "hard",
             cfg.m_t ** 2 >= 2 * cfg.n_t - 1,
             f"M_t^2 = {cfg.m_t ** 2} vs 2N_t-1 = {2 * cfg.n_t - 1}",
         ),
-        (
+        _gate_record(
             "band-resolution",
             "hard",
             all(band_resolvable(s.band, cfg.n_t) for s in cfg.sources),
             f"narrowest band {narrowest / np.pi:.4g}pi vs 2pi/N_t = {bin_pi:.4g}pi",
         ),
-        (
+        _gate_record(
             "spatial-overdetermination",
             "warning",
             m_s ** 2 >= cfg.grid_q,
             f"M_s^2 = {m_s ** 2} vs Q = {cfg.grid_q}",
         ),
-        (
+        _gate_record(
             "grid-size-advisory",
             "advisory",
             cfg.grid_q <= 2 * cfg.n_underlying - 1,
             f"Q = {cfg.grid_q} vs 2N_s-1 = {2 * cfg.n_underlying - 1}",
         ),
     ]
-    gates = [dict(zip(("name", "level", "passed", "detail"), c)) for c in checks]
+
+
+def require_gates(gates: list) -> None:
+    """Raise DesignGateError on the first failed hard gate record."""
     for gate in gates:
         if gate["level"] == "hard" and not gate["passed"]:
             raise DesignGateError(f"{gate['name']} failed: {gate['detail']}", gate=gate)
-    return gates
+
+
+class Resolution(NamedTuple):
+    """A configuration's gate records, with its design and certificates
+    unless the coset pattern could not be built (then a failed
+    coset-ruler-cardinality record says why)."""
+
+    gates: list
+    design: Optional[est.Design]
+    certificates: Optional[dict]
+
+
+def resolve(cfg: ScenarioConfig) -> Resolution:
+    """Gate, build and certify the design: the one front door of run,
+    certify and sweep.  Failed gates are recorded, not raised; a
+    configuration that describes no design raises ConfigError."""
+    gates = check_gates(cfg)
+    try:
+        design = est.Design(geometry_of(cfg), grid_of(cfg), pattern_of(cfg))
+    except DesignGateError as exc:
+        return Resolution(gates + [exc.gate], None, None)
+    certs = design_certificates(design)
+    uncovered = int((design.rct.pair_counts == 0).sum())
+    lags = design.rct.n_lags
+    lag_detail = f"{uncovered} of 2N_t-1 = {lags} lags without a coset row pair"
+    rank, cond = certs["kr_rank"]["rank"], certs["kr_rank"]["condition_number"]
+    kr_detail = f"Khatri-Rao rank {rank} vs Q = {cfg.grid_q}, condition {cond:.4g}"
+    gates += [
+        _gate_record("lag-coverage", "hard", uncovered == 0, lag_detail),
+        _gate_record("kr-rank", "hard", rank >= cfg.grid_q, kr_detail),
+    ]
+    return Resolution(gates, design, certs)
 
 
 def design_certificates(design: est.Design) -> dict:
@@ -469,19 +500,9 @@ def run_scenario(
     timings = {}
     try:
         t0 = time.perf_counter()
-        gates = check_gates(cfg)
-        design = design_of(cfg)
-        certs = design_certificates(design)
-        if not design.rct.full_column_rank:
-            raise DesignGateError(
-                "coset pattern leaves lag columns empty",
-                gate={"name": "lag-coverage", "passed": False},
-            )
-        if certs["kr_rank"]["rank"] < cfg.grid_q:
-            raise DesignGateError(
-                f"Khatri-Rao rank {certs['kr_rank']['rank']} < Q={cfg.grid_q}",
-                gate={"name": "kr-rank", "passed": False},
-            )
+        resolved = resolve(cfg)
+        require_gates(resolved.gates)
+        design = resolved.design
         timings["design_s"] = time.perf_counter() - t0
 
         chunks = _simulated_chunks(cfg, design)
@@ -508,8 +529,8 @@ def run_scenario(
         written += _spectrum_csvs(out, spec)
         report = {
             "config": _config_echo(cfg),
-            "gates": gates,
-            "certificates": certs,
+            "gates": resolved.gates,
+            "certificates": resolved.certificates,
             "sigma_n_hat": rec.sigma_n_hat,
             "residual_norms": [float(r) for r in rec.residual_norms],
             "detections": [_detection_record(d) for d in detections],
@@ -557,16 +578,13 @@ def _timed(items, timings: dict, key: str):
 
 
 def run_certify(cfg: ScenarioConfig) -> dict:
-    """Design checks only; no simulation, nothing written."""
-    gates = []
-    try:
-        gates = check_gates(cfg)
-    except DesignGateError as exc:
-        gates.append(exc.gate)
+    """Design checks only, every gate record kept; no simulation,
+    nothing written.  ``certificates`` is None when no design exists."""
+    resolved = resolve(cfg)
     return {
         "config": _config_echo(cfg),
-        "gates": gates,
-        "certificates": design_certificates(design_of(cfg)),
+        "gates": resolved.gates,
+        "certificates": resolved.certificates,
     }
 
 
@@ -583,19 +601,26 @@ def run_sweep(
     relative error of the recovered per-angle lag matrix against the
     closed-form one (NaN when any source is off-grid, where exact truth
     is undefined), the noise-power error, and the fraction of true
-    sources matched by a detection within one grid cell.  Runs execute on
-    a thread pool sized by the config's worker count.
+    sources matched by a detection within one grid cell.  Every run's
+    design is resolved, and its gates required, before any run starts;
+    runs then execute on a thread pool sized by the config's worker count.
     """
     if param not in ("n_blocks", "m_t"):
         raise ConfigError(f"sweep parameter must be n_blocks or m_t, got {param!r}")
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(value, seed) for value in values for seed in seeds]
+    # without a pinned coset seed the pattern depends on the run's seed
+    jobs = []
+    for value in values:
+        for seed in seeds:
+            sub = _replace(cfg, master_seed=seed, **{param: value})
+            resolved = resolve(sub)
+            require_gates(resolved.gates)
+            jobs.append((value, seed, sub, resolved.design))
 
     def one(job):
-        value, seed = job
-        sub = _replace(cfg, master_seed=seed, **{param: value})
-        return (value, seed) + _sweep_metrics(sub)
+        value, seed, sub, design = job
+        return (value, seed) + _sweep_metrics(sub, design)
 
     workers = cfg.workers or 1
     if workers > 1 and len(jobs) > 1:
@@ -613,8 +638,7 @@ def run_sweep(
     return path
 
 
-def _sweep_metrics(cfg: ScenarioConfig):
-    design = design_of(cfg)
+def _sweep_metrics(cfg: ScenarioConfig, design: est.Design):
     grid = design.grid
     gram, n_blocks = est.accumulate_gram(_simulated_chunks(cfg, design))
     rec, spec = est.spectrum_from_gram(

@@ -15,6 +15,7 @@ from jafs.scenario import (
     DesignGateError,
     check_gates,
     load_scenario,
+    require_gates,
     run_certify,
     run_scenario,
     run_sweep,
@@ -145,8 +146,11 @@ def test_nonexistent_path_rejected():
 def test_hard_gate_blocks_undersampled_rows(tmp_path):
     bad = MINIMAL.replace("m_t = 5", "m_t = 3").replace("rows = 0 1 2 3 7\n", "")
     cfg = load_scenario(write_scenario(tmp_path, bad))
+    gates = check_gates(cfg)
+    assert gates[0]["name"] == "temporal-overdetermination"
+    assert not gates[0]["passed"]
     with pytest.raises(DesignGateError):
-        check_gates(cfg)
+        require_gates(gates)
 
 
 def test_warning_gate_records_without_raising(tmp_path):
@@ -190,6 +194,8 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert report["sigma_n_hat"] == pytest.approx(5.0, rel=0.2)
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk["sigma_n_hat"] == report["sigma_n_hat"]
+    assert [g["name"] for g in on_disk["gates"]][-2:] == ["lag-coverage", "kr-rank"]
+    assert all(g["passed"] for g in on_disk["gates"])
     # spectrum_plot frequencies are sorted ascending
     header = (out / "spectrum_plot.csv").read_text().splitlines()[0].split(",")
     freqs = [float(tok) for tok in header[1:]]
@@ -237,7 +243,7 @@ def test_snapshot_dump_streams_the_simulated_blocks(tmp_path):
     cfg = dumping_scenario(tmp_path)
     out = tmp_path / "dumped"
     run_scenario(cfg, output_dir=str(out))
-    design = scenario.design_of(cfg)
+    design = scenario.resolve(cfg).design
     expect = simulate.compressed_blocks(
         cfg.sources,
         design.geometry,
@@ -375,27 +381,83 @@ def test_cli_bad_value_exits_2(tmp_path, capsys, old, new):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["certify", "run"])
-def test_cli_unresolvable_band_exits_3_before_simulating(
-    tmp_path, capsys, monkeypatch, command
-):
-    # N_t = 8 resolves bands down to 0.25pi; this one is 0.1pi wide
-    path = smoke_copy(
-        tmp_path,
-        "band_lo_pi = -0.1\nband_hi_pi = 0.2",
-        "band_lo_pi = 0\nband_hi_pi = 0.1",
-    )
-
+def forbid_simulation(monkeypatch):
     def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated despite a failed hard gate")
+        raise AssertionError("simulated before the design was accepted")
 
     monkeypatch.setattr(scenario, "block_chunks", no_simulation)
-    args = [command, str(path)]
-    if command == "run":
-        args += ["--output-dir", str(tmp_path / "o")]
-    assert main(args) == 3
+
+
+def cli_args(command, path, tmp_path, sweep=("--param", "n_blocks", "--values", "50")):
+    out = ["--output-dir", str(tmp_path / "o")]
+    return {
+        "certify": ["certify", str(path)],
+        "run": ["run", str(path)] + out,
+        "sweep": ["sweep", str(path), *sweep] + out,
+    }[command]
+
+
+BAND = "band_lo_pi = -0.1\nband_hi_pi = 0.2"
+ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "sweep"])
+@pytest.mark.parametrize(
+    "old, new, code, message",
+    [
+        # N_t = 8 resolves bands down to 0.25pi
+        (BAND, "band_lo_pi = 0\nband_hi_pi = 0.1", 3, "band-resolution"),
+        (BAND, "band_lo_pi = 0.05\nband_hi_pi = 0.2", 3, "band-resolution"),
+        (ROWS, "m_t = 5\nrows = 0 1 2 3 4\n", 3, "lag-coverage"),
+        (ROWS, "m_t = 3\nrows = 0 1 2\n", 3, "temporal-overdetermination"),
+        ("q = 15", "q = 40", 3, "kr-rank"),
+        (ROWS, "m_t = 5\nrows = 0 1 2 3 8\n", 2, "coset rows must lie in [0, 7]"),
+        (ROWS, "m_t = 5\nrows = 0 1 2 3 3\n", 2, "coset rows must be distinct"),
+        (ROWS, "m_t = 9\n", 2, "m_t = 9 exceeds n_t = 8"),
+    ],
+    ids=[
+        "band-0.1pi",
+        "band-0.15pi",
+        "rows-miss-lags",
+        "m_t-3",
+        "q-40",
+        "row-out-of-range",
+        "row-repeated",
+        "m_t-above-n_t",
+    ],
+)
+def test_cli_commands_agree_before_simulating(
+    tmp_path, capsys, monkeypatch, command, old, new, code, message
+):
+    path = smoke_copy(tmp_path, old, new)
+    forbid_simulation(monkeypatch)
+    assert main(cli_args(command, path, tmp_path)) == code
     captured = capsys.readouterr()
-    assert "band-resolution" in captured.out + captured.err
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_sweep_m_t_above_n_t_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    path = smoke_copy(tmp_path, ROWS, "m_t = 5\n")
+    forbid_simulation(monkeypatch)
+    sweep = ("--param", "m_t", "--values", "5,9")
+    assert main(cli_args("sweep", path, tmp_path, sweep)) == 2
+    assert "m_t = 9 exceeds n_t = 8" in capsys.readouterr().err
+
+
+def test_certify_keeps_every_gate_record(tmp_path):
+    path = smoke_copy(tmp_path, BAND, "band_lo_pi = 0.05\nband_hi_pi = 0.2")
+    gates = run_certify(load_scenario(path))["gates"]
+    assert [g["name"] for g in gates] == [
+        "temporal-overdetermination",
+        "band-resolution",
+        "spatial-overdetermination",
+        "grid-size-advisory",
+        "lag-coverage",
+        "kr-rank",
+    ]
+    assert [g["passed"] for g in gates] == [True, False, True, True, True, True]
+    assert all(set(g) == {"name", "level", "passed", "detail"} for g in gates)
 
 
 def count_calls(monkeypatch, names):
@@ -425,21 +487,10 @@ def test_cli_m_t_below_coset_ruler_cardinality_exits_3(
     text = FLAGSHIP.read_text()
     assert "m_t = 34" in text
     path = write_scenario(tmp_path, text.replace("m_t = 34", "m_t = 13", 1))
-
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated despite a failed hard gate")
-
-    monkeypatch.setattr(scenario, "block_chunks", no_simulation)
+    forbid_simulation(monkeypatch)
     calls = count_calls(monkeypatch, [("solve_sparse_ruler", geometry)])
-    args = {
-        "certify": ["certify", str(path)],
-        "run": ["run", str(path), "--output-dir", str(tmp_path / "o")],
-        "sweep": [
-            "sweep", str(path), "--param", "m_t", "--values", "13",
-            "--output-dir", str(tmp_path / "o"),
-        ],
-    }[command]
-    assert main(args) == 3
+    sweep = ("--param", "m_t", "--values", "13")
+    assert main(cli_args(command, path, tmp_path, sweep)) == 3
     assert "coset-ruler-cardinality" in capsys.readouterr().err
     assert calls == {"solve_sparse_ruler": 1}
 
@@ -451,6 +502,16 @@ def test_coset_ruler_cardinality_gate_record():
     gate = info.value.gate
     assert gate["name"] == "coset-ruler-cardinality"
     assert gate["level"] == "hard" and gate["passed"] is False
+
+
+def test_solved_marks_are_not_solved_again_after_load(tmp_path, monkeypatch):
+    cfg = load_scenario(smoke_copy(tmp_path, "marks = 0 1 2 3 7", "marks = solve"))
+    assert cfg.marks == geometry.solve_sparse_ruler(7).marks
+    calls = count_calls(monkeypatch, [("solve_sparse_ruler", geometry)])
+    run_certify(cfg)
+    run_scenario(cfg, output_dir=str(tmp_path / "run"))
+    run_sweep(cfg, "n_blocks", [100, 200], [0, 1], output_dir=str(tmp_path / "sweep"))
+    assert calls == {}
 
 
 def test_run_scenario_resolves_design_once(tmp_path, monkeypatch):

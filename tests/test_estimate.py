@@ -11,7 +11,6 @@ from jafs.estimate import (
     RankDeficiencyError,
     accumulate_gram,
     assemble_all,
-    assemble_spatial,
     block_gram,
     build_rct,
     find_peaks,
@@ -37,7 +36,7 @@ from jafs.oracle import (
     true_source_autocorr,
     true_vec_ry,
 )
-from jafs.scenario import design_of, load_scenario
+from jafs.scenario import load_scenario, resolve
 from jafs.simulate import (
     CosetPattern,
     SnapshotBlocks,
@@ -263,28 +262,6 @@ def test_recover_lags_closed_form_matches_dense_least_squares(n_t, extras, m_s, 
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_recover_lags_symmetrize():
-    geo, grid, pattern, sources = smoke_setup()
-    snaps = ula_snapshots(sources, geo, 5.0, 100, 8, master_seed=4)
-    from jafs.simulate import spatial_compress, temporal_compress
-
-    z = temporal_compress(spatial_compress(snaps, geo), pattern)
-    pairs = pair_correlations(z)
-    rct = build_rct(pattern)
-    sym = recover_lags(rct, pairs, symmetrize=True)
-    n_lags = sym.n_lags
-    rev = (-np.arange(n_lags)) % n_lags
-    # exact Hermitian pairing after averaging
-    mirror = sym.values.conj().transpose(1, 0, 2)[:, :, rev]
-    np.testing.assert_allclose(sym.values, mirror, atol=1e-12)
-    raw = recover_lags(rct, pairs)
-    np.testing.assert_allclose(
-        sym.values,
-        0.5 * (raw.values + raw.values.conj().transpose(1, 0, 2)[:, :, rev]),
-        atol=1e-12,
-    )
-
-
 def test_correlation_set_lag_index():
     corr = CorrelationSet(n_t=4, values=np.zeros((2, 2, 7), dtype=complex))
     assert corr.lag_index(0) == 0
@@ -306,7 +283,7 @@ def test_assemble_spatial_ordering():
     vals[1, 1, 1] = 22
     corr = CorrelationSet(n_t=2, values=vals)
     np.testing.assert_array_equal(
-        assemble_spatial(corr, 1), [11, 21, 12, 22]
+        assemble_all(corr)[:, corr.lag_index(1)], [11, 21, 12, 22]
     )
 
 
@@ -316,9 +293,10 @@ def test_assemble_all_matches_per_lag():
     corr = CorrelationSet(n_t=3, values=vals)
     stacked = assemble_all(corr)
     assert stacked.shape == (9, 5)
-    for k in range(-2, 3):
+    # column l is vec(values[:, :, l]), column-major
+    for col in range(5):
         np.testing.assert_array_equal(
-            stacked[:, corr.lag_index(k)], assemble_spatial(corr, k)
+            stacked[:, col], vals[:, :, col].flatten(order="F")
         )
 
 
@@ -326,11 +304,11 @@ def test_assemble_noise_only_is_vec_identity():
     geo, grid, pattern, _ = smoke_setup()
     exact = exact_correlations((), geo, grid, pattern, 2.5)
     corr = recover_lags(build_rct(pattern), exact.pair_vecs)
-    vec0 = assemble_spatial(corr, 0)
+    stacked = assemble_all(corr)
     np.testing.assert_allclose(
-        vec0, 2.5 * np.eye(5).flatten(order="F"), atol=1e-12
+        stacked[:, corr.lag_index(0)], 2.5 * np.eye(5).flatten(order="F"), atol=1e-12
     )
-    assert np.abs(assemble_spatial(corr, 3)).max() < 1e-12
+    assert np.abs(stacked[:, corr.lag_index(3)]).max() < 1e-12
 
 
 # ----------------------------------------------------- angular recovery
@@ -548,7 +526,7 @@ def test_pair_correlations_is_gram_reshaped():
 
 def test_streamed_gram_matches_blocks_path():
     cfg = load_scenario(SMOKE)
-    design = design_of(cfg)
+    design = resolve(cfg).design
     n_blocks = 2 * chunk_blocks(cfg.n_t) + 11
     args = (
         cfg.sources,
