@@ -9,9 +9,9 @@ Three subcommands operate on a scenario file::
 
 Exit codes: 0 success, 2 bad configuration, 3 failed hard design gate
 (the same for all three subcommands), 4 numerical failure during
-estimation.  Only the seed and the output directory can be overridden
-from the command line; everything else lives in the scenario file so
-that runs stay reproducible from a single artifact.
+estimation or memory exhausted.  Only the seed and the output directory
+can be overridden from the command line; everything else lives in the
+scenario file so that runs stay reproducible from a single artifact.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     except DesignGateError as exc:
         print(f"design gate failure: {exc}", file=sys.stderr)
         return EXIT_DESIGN
-    except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
+    except (RankDeficiencyError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -15,7 +15,8 @@ Stages, in data-flow order:
 3. assemble_all: regroup recovered lags into vec(R_y[k]), one column
    per lag.
 4. recover_angular: least-squares inversion of the spatial Khatri-Rao
-   system, giving per-grid-angle lag vectors and the noise power.
+   system over the co-array's distinct differences, giving per-grid-angle
+   lag vectors and the noise power.
 5. spectrum: row-wise DFT to the joint angle-frequency power matrix.
 6. find_peaks: detections (angle, frequency support, power).
 
@@ -42,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
 from .model import AngularGrid, ArrayGeometry, ManifoldMatrices, manifold_and_kr
 from .simulate import CosetPattern, SnapshotBlocks
@@ -254,13 +254,17 @@ def recover_lags(rct: RctMatrix, pair_vecs: np.ndarray) -> CorrelationSet:
     m_s = pair_vecs.shape[0]
     if pair_vecs.shape != (m_s, m_s, rct.m_t ** 2):
         raise ValueError("pair_vecs must have shape (M_s, M_s, M_t**2)")
-    # group each pair's entries by lag, then sum every group
-    order = np.argsort(rct.col_index, kind="stable")
+    values = _group_means(pair_vecs.reshape(m_s * m_s, -1).T, rct.col_index, counts).T
+    return CorrelationSet(n_t=rct.n_t, values=values.reshape(m_s, m_s, rct.n_lags))
+
+
+def _group_means(values: np.ndarray, index: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of the rows of ``values`` in each group: row r belongs to group
+    index[r], and group g has counts[g] > 0 rows."""
+    order = np.argsort(index, kind="stable")
     starts = np.cumsum(counts) - counts
-    rhs = pair_vecs.reshape(m_s * m_s, -1)[:, order]
-    sums = np.add.reduceat(rhs, starts, axis=1)
-    values = (sums / counts).reshape(m_s, m_s, rct.n_lags)
-    return CorrelationSet(n_t=rct.n_t, values=values)
+    sums = np.add.reduceat(values[order], starts, axis=0)
+    return sums / counts.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
 def assemble_all(corr: CorrelationSet) -> np.ndarray:
@@ -279,6 +283,7 @@ class AngularRecovery:
     source_lags: np.ndarray  # (Q, 2*n_t - 1), canonical lag order
     sigma_n_hat: float
     residual_norms: np.ndarray  # per-lag LS residuals
+    noise_path: str  # "known", "augmented" or "white-floor"
 
     def __post_init__(self):
         for name in ("source_lags", "residual_norms"):
@@ -315,11 +320,15 @@ def recover_angular(
     noise_mode: str = "estimate",
     noise_variance: Optional[float] = None,
 ) -> AngularRecovery:
-    """Invert the spatial Khatri-Rao system for every lag.
+    """Least-squares inversion of the spatial Khatri-Rao system for every
+    lag.
 
-    ``vec_ry`` has one column per canonical lag index.  Lag 0 carries the
-    additive-noise term sigma_n^2 vec(I); all other lags are solved by a
-    plain least-squares fit of the Khatri-Rao columns, factorized once.
+    ``vec_ry`` has one column per canonical lag index.  KR rows of equal
+    mark difference are equal, so least squares over KR is least squares
+    over the distinct differences, weighted by sqrt(diff_counts), of the
+    data averaged within each difference.  Lag 0 carries the
+    additive-noise term sigma_n^2 vec(I), whose average is the
+    difference-0 indicator.
 
     noise_mode="known" subtracts noise_variance * vec(I) from the lag-0
     column before solving.  noise_mode="estimate" estimates the noise
@@ -329,10 +338,10 @@ def recover_angular(
     co-array and the uniform-sine grid produces exactly) by attributing
     the common spatially-white floor of the lag-0 solution to noise; see
     _white_floor_power for the convention and its identifiability caveat.
+    ``residual_norms`` are those of the full KR system: within-difference
+    scatter plus the weighted reduced residual.
     """
-    KR = manifold.KR
-    noise_col = manifold.noise_column
-    m2, q_count = KR.shape
+    m2, q_count = manifold.KR.shape
     vec_ry = np.asarray(vec_ry)
     if vec_ry.ndim == 1:
         vec_ry = vec_ry[:, None]
@@ -346,42 +355,34 @@ def recover_angular(
             report=info,
         )
 
-    rhs = vec_ry.astype(complex).copy()
-    sigma_hat: float
+    index, counts = manifold.diff_index, manifold.diff_counts
+    means = _group_means(vec_ry.astype(complex), index, counts)
+    scatter = np.sum(np.abs(vec_ry - means[index]) ** 2, axis=0)
+    weight = np.sqrt(counts)
+    A = weight[:, None] * manifold.reduced
+    noise_col = weight * _group_means(manifold.noise_column, index, counts)
+    rhs = weight[:, None] * means
     if noise_mode == "known":
         if noise_variance is None:
             raise ValueError("noise_mode='known' requires noise_variance")
-        sigma_hat = float(noise_variance)
+        noise_path, sigma_hat = "known", float(noise_variance)
         rhs[:, 0] -= sigma_hat * noise_col
-        x, resid = _qr_solve_all(KR, rhs)
-    elif noise_mode == "estimate":
-        if info["augmented_rank"] == q_count + 1:
-            aug = np.column_stack([KR, noise_col])
-            x_aug, resid0 = _qr_solve_all(aug, rhs[:, :1])
-            x, resid = _qr_solve_all(KR, rhs)
-            x[:, 0] = x_aug[:q_count, 0]
-            resid[0] = resid0[0]
-            sigma_hat = float(np.real(x_aug[q_count, 0]))
-        else:
-            x, resid = _qr_solve_all(KR, rhs)
-            floor = _white_floor_power(x)
-            sigma_hat = q_count * floor
-            x[:, 0] -= floor
-    else:
+    elif noise_mode != "estimate":
         raise ValueError("noise_mode must be 'known' or 'estimate'")
-    return AngularRecovery(
-        source_lags=x,
-        sigma_n_hat=sigma_hat,
-        residual_norms=resid,
-    )
-
-
-def _qr_solve_all(A: np.ndarray, rhs: np.ndarray):
-    """Least squares for every column of rhs from one factorization."""
-    q_f, r_f = qr(A, mode="economic")
-    x = solve_triangular(r_f, q_f.conj().T @ rhs)
-    resid = np.linalg.norm(rhs - A @ x, axis=0)
-    return x, resid
+    elif info["augmented_rank"] == q_count + 1:
+        # lag 0 less the joint noise term refits to the augmented solve
+        aug = np.linalg.lstsq(np.column_stack([A, noise_col]), rhs[:, 0], rcond=None)[0]
+        noise_path, sigma_hat = "augmented", float(np.real(aug[q_count]))
+        rhs[:, 0] -= aug[q_count] * noise_col
+    else:
+        noise_path = "white-floor"
+    x = np.linalg.lstsq(A, rhs, rcond=None)[0]
+    resid = np.sqrt(scatter + np.sum(np.abs(rhs - A @ x) ** 2, axis=0))
+    if noise_path == "white-floor":
+        floor = _white_floor_power(x)
+        sigma_hat = q_count * floor
+        x[:, 0] -= floor
+    return AngularRecovery(x, sigma_hat, resid, noise_path)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ angular grid, and the self-conjugate Khatri-Rao product conj(B) (col) B
 whose columns multiply the per-source powers in the vectorized spatial
 covariance.  Row order of the Khatri-Rao matrix follows column-major
 vectorization of the covariance: row v pairs antenna i = v mod M_s with
-antenna j = v // M_s and carries exp(j*(d_i - d_j)*2*pi*sin(theta)).
+antenna j = v // M_s and carries exp(j*(d_i - d_j)*2*pi*sin(theta)),
+so pairs with equal mark differences give equal rows (the co-array).
 
 Angles are radians everywhere inside the package; degrees appear only at
 I/O boundaries.
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import khatri_rao
 
 from .geometry import longest_run
 
@@ -89,15 +89,21 @@ class ManifoldMatrices:
     """Manifold B (M_s x Q), its self-conjugate Khatri-Rao product
     (M_s^2 x Q), the vectorized identity that multiplies the noise power
     in the covariance model, and the rank report of [KR | noise_column]
-    (see rank_report), computed once with the matrices."""
+    (see rank_report), computed once with the matrices.  ``reduced`` is
+    KR's first row for each distinct mark difference, in increasing
+    order; row v of KR has difference diff_index[v], and diff_counts is
+    the co-array weight function (KR rows per difference)."""
 
     B: np.ndarray
     KR: np.ndarray
     noise_column: np.ndarray
     rank_info: dict
+    reduced: np.ndarray
+    diff_index: np.ndarray
+    diff_counts: np.ndarray
 
     def __post_init__(self):
-        for name in ("B", "KR", "noise_column"):
+        for name in ("B", "KR", "noise_column", "reduced", "diff_index", "diff_counts"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -129,13 +135,22 @@ def manifold_and_kr(geometry: ArrayGeometry, grid: AngularGrid) -> ManifoldMatri
     exp(j*(d_i - d_j)*2*pi*sin(theta_q)): the order produced by
     column-major vectorization of the spatial covariance.
     """
-    pos = geometry.positions
-    B = np.exp(2j * np.pi * np.outer(pos, np.sin(grid.angles)))
-    KR = khatri_rao(B.conj(), B)
-    noise_column = np.eye(geometry.m_active).flatten(order="F")
-    return ManifoldMatrices(
-        B=B, KR=KR, noise_column=noise_column, rank_info=rank_report(KR, noise_column)
-    )
+    m = geometry.m_active
+    B = np.exp(2j * np.pi * np.outer(geometry.positions, np.sin(grid.angles)))
+    KR = (B.conj()[:, None, :] * B[None, :, :]).reshape(m * m, grid.q_count)
+    noise_column = np.eye(m).flatten(order="F")
+    _, first, index, counts = _mark_differences(geometry)
+    rank_info = rank_report(KR, noise_column)
+    return ManifoldMatrices(B, KR, noise_column, rank_info, KR[first], index, counts)
+
+
+def _mark_differences(geometry: ArrayGeometry):
+    """np.unique of the mark differences m_i - m_j in KR's row order
+    v = i + j*M_s: (distinct differences, first row of each, difference
+    of each row, rows per difference)."""
+    marks = np.asarray(geometry.active_marks)
+    diffs = (marks[:, None] - marks[None, :]).flatten(order="F")
+    return np.unique(diffs, return_index=True, return_inverse=True, return_counts=True)
 
 
 def rank_report(KR: np.ndarray, noise_column: Optional[np.ndarray] = None) -> dict:
@@ -167,22 +182,15 @@ def virtual_ula_row_indices(geometry: ArrayGeometry, q_count: int) -> np.ndarray
     Searches the deduplicated pairwise mark differences for the longest
     run of consecutive integers and returns, for q_count of them, the
     first covariance-vector index v = i + j*M_s realizing each
-    difference.  On the uniform-sine grid with half-wavelength spacing
-    these rows form a (scaled, row-permuted) DFT matrix.
+    difference (the row ManifoldMatrices.reduced keeps).  On the
+    uniform-sine grid with half-wavelength spacing these rows form a
+    (scaled, row-permuted) DFT matrix.
     """
-    marks = np.asarray(geometry.active_marks)
-    m = len(marks)
-    diff = marks[:, None] - marks[None, :]  # diff[i, j] = m_i - m_j
-    best_start, best_len = longest_run(np.unique(diff).tolist(), 1)
+    values, first, _, _ = _mark_differences(geometry)
+    best_start, best_len = longest_run(values.tolist(), 1)
     if best_len < q_count:
-        raise ValueError(
-            f"virtual ULA has {best_len} elements, need {q_count}"
-        )
+        raise ValueError(f"virtual ULA has {best_len} elements, need {q_count}")
     # center the window on the run (keeps the zero difference inside
     # when the run is symmetric)
     start = best_start + (best_len - q_count) // 2
-    rows = np.empty(q_count, dtype=int)
-    for r, k in enumerate(range(start, start + q_count)):
-        i, j = np.argwhere(diff == k)[0]
-        rows[r] = i + j * m
-    return rows
+    return first[np.searchsorted(values, np.arange(start, start + q_count))]

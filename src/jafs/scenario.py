@@ -393,16 +393,12 @@ def design_certificates(design: est.Design) -> dict:
     rank-condition certificates, and the realized Khatri-Rao rank."""
     geometry, pattern = design.geometry, design.pattern
     q_count = design.grid.q_count
-    report = dict(design.manifold.rank_info)
-
     d = Fraction(geometry.spacing_d).limit_denominator(10 ** 9)
     diffs = difference_set(geometry.active_marks, d)
-    cert1 = check_virtual_ula(diffs, q_count, d).with_condition_number(
-        report["condition_number"]
-    )
-    cert2 = check_sine_grid_residues(diffs, q_count).with_condition_number(
-        report["condition_number"]
-    )
+    rank_certs = {
+        "virtual_ula": check_virtual_ula(diffs, q_count, d),
+        "sine_grid_residues": check_sine_grid_residues(diffs, q_count),
+    }
     return {
         "geometry": {
             "n_underlying": geometry.n_underlying,
@@ -418,17 +414,11 @@ def design_certificates(design: est.Design) -> dict:
             "rows_cover_all_lags": design.rct.full_column_rank,
         },
         "rct_full_column_rank": design.rct.full_column_rank,
-        "virtual_ula": {
-            "passed": cert1.passed,
-            "criterion": cert1.criterion,
-            "witness": cert1.witness,
+        **{
+            key: {"passed": c.passed, "criterion": c.criterion, "witness": c.witness}
+            for key, c in rank_certs.items()
         },
-        "sine_grid_residues": {
-            "passed": cert2.passed,
-            "criterion": cert2.criterion,
-            "witness": cert2.witness,
-        },
-        "kr_rank": report,
+        "kr_rank": dict(design.manifold.rank_info),
     }
 
 
@@ -494,17 +484,15 @@ def run_scenario(
     """
     if seed is not None:
         cfg = _replace(cfg, master_seed=seed)
+    t0 = time.perf_counter()
+    resolved = resolve(cfg)
+    require_gates(resolved.gates)
+    design = resolved.design
+    timings = {"design_s": time.perf_counter() - t0}
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    timings = {}
     try:
-        t0 = time.perf_counter()
-        resolved = resolve(cfg)
-        require_gates(resolved.gates)
-        design = resolved.design
-        timings["design_s"] = time.perf_counter() - t0
-
         chunks = _simulated_chunks(cfg, design)
         if cfg.dump_snapshots:
             dump_path = out / "compressed_blocks.bin"
@@ -532,6 +520,7 @@ def run_scenario(
             "gates": resolved.gates,
             "certificates": resolved.certificates,
             "sigma_n_hat": rec.sigma_n_hat,
+            "noise_path": rec.noise_path,
             "residual_norms": [float(r) for r in rec.residual_norms],
             "detections": [_detection_record(d) for d in detections],
             "timings": timings,
@@ -607,8 +596,6 @@ def run_sweep(
     """
     if param not in ("n_blocks", "m_t"):
         raise ConfigError(f"sweep parameter must be n_blocks or m_t, got {param!r}")
-    out = Path(output_dir if output_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # without a pinned coset seed the pattern depends on the run's seed
     jobs = []
     for value in values:
@@ -617,6 +604,8 @@ def run_sweep(
             resolved = resolve(sub)
             require_gates(resolved.gates)
             jobs.append((value, seed, sub, resolved.design))
+    out = Path(output_dir if output_dir is not None else cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def one(job):
         value, seed, sub, design = job

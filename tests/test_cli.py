@@ -1,6 +1,9 @@
 """Scenario parsing, design gates, and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -194,6 +197,7 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert report["sigma_n_hat"] == pytest.approx(5.0, rel=0.2)
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk["sigma_n_hat"] == report["sigma_n_hat"]
+    assert on_disk["noise_path"] == "white-floor"
     assert [g["name"] for g in on_disk["gates"]][-2:] == ["lag-coverage", "kr-rank"]
     assert all(g["passed"] for g in on_disk["gates"])
     # spectrum_plot frequencies are sorted ascending
@@ -352,6 +356,24 @@ def test_cli_gate_failure_exits_3(tmp_path, capsys):
     assert "design gate" in capsys.readouterr().err
 
 
+def test_cli_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate the block chunk")
+
+    monkeypatch.setattr(scenario, "block_chunks", exhausted)
+    assert main(["run", str(SMOKE), "--output-dir", str(tmp_path / "o")]) == 4
+    captured = capsys.readouterr()
+    assert "Unable to allocate the block chunk" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, jafs.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def smoke_copy(tmp_path, old, new):
     text = SMOKE.read_text()
     assert old in text
@@ -435,6 +457,7 @@ def test_cli_commands_agree_before_simulating(
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_sweep_m_t_above_n_t_exits_2_before_any_run(tmp_path, capsys, monkeypatch):

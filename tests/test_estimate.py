@@ -1,10 +1,11 @@
 """Lag recovery, angular recovery, spectrum, and peak picking."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jafs.estimate import (
     CorrelationSet,
@@ -386,6 +387,7 @@ def test_recover_angular_joint_branch_on_nondegenerate_grid():
         axis=1,
     )
     rec = recover_angular(mats, vec_ry, noise_mode="estimate")
+    assert rec.noise_path == "augmented"
     assert rec.sigma_n_hat == pytest.approx(sigma, abs=1e-9)
     np.testing.assert_allclose(rec.source_lags[:, 0], powers, atol=1e-9)
 
@@ -399,6 +401,80 @@ def test_recover_angular_refuses_rank_deficiency():
     vec = np.zeros((16, 1), dtype=complex)
     with pytest.raises(RankDeficiencyError):
         recover_angular(mats, vec)
+
+
+@st.composite
+def random_designs(draw):
+    """Distinct marks on a 13-element ULA at spacing 1/2 or 1/4, with a
+    uniform-sine or a random sorted-sine grid of at most as many angles
+    as the marks have distinct differences."""
+    marks = draw(st.lists(st.integers(0, 12), min_size=2, max_size=6, unique=True))
+    n_diffs = len({a - b for a in marks for b in marks})
+    q = draw(st.integers(1, min(n_diffs, 12)))
+    if draw(st.booleans()):
+        grid = inverse_sin_grid(q)
+    else:
+        sines = draw(st.lists(st.integers(-31, 31), min_size=q, max_size=q, unique=True))
+        grid = AngularGrid(q_count=q, angles=np.arcsin(np.sort(sines) / 32))
+    spacing = draw(st.sampled_from([0.5, 0.25]))
+    return ArrayGeometry(13, spacing, tuple(marks)), grid
+
+
+def dense_lstsq(A, b):
+    return np.linalg.lstsq(A, b, rcond=None)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(design=random_designs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_recover_angular_reduced_solve_matches_dense_least_squares(design, seed):
+    geo, grid = design
+    mats = manifold_and_kr(geo, grid)
+    KR, noise_col, info = mats.KR, mats.noise_column, mats.rank_info
+    q = grid.q_count
+    # the weighted reduced matrix has KR's singular values; skip draws
+    # whose rank hinges on a singular value near the tolerance
+    s = np.linalg.svd(KR, compute_uv=False)
+    tol = info["tolerance"]
+    assume(not np.any((s > tol / 1e3) & (s < tol * 1e3)))
+    reduced = np.sqrt(mats.diff_counts)[:, None] * mats.reduced
+    assert np.sum(np.linalg.svd(reduced, compute_uv=False) > tol) == info["rank"]
+    assume(info["rank"] == q and info["condition_number"] < 1e4)
+
+    rng = np.random.default_rng(seed)
+    shape = (KR.shape[0], 3)
+    vec_ry = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    scale = np.linalg.norm(vec_ry)
+
+    def check(rec, x, rhs):
+        np.testing.assert_allclose(rec.source_lags, x, atol=1e-9 * scale)
+        want = np.linalg.norm(rhs - KR @ x, axis=0)
+        np.testing.assert_allclose(rec.residual_norms, want, atol=1e-9 * scale)
+
+    rec = recover_angular(mats, vec_ry, noise_mode="known", noise_variance=0.7)
+    rhs = vec_ry.copy()
+    rhs[:, 0] -= 0.7 * noise_col
+    assert rec.noise_path == "known"
+    check(rec, dense_lstsq(KR, rhs), rhs)
+
+    rec = recover_angular(mats, vec_ry)
+    x = dense_lstsq(KR, vec_ry)
+    if info["augmented_rank"] == q + 1:
+        aug = np.column_stack([KR, noise_col])
+        assume(np.linalg.cond(aug) < 1e4)
+        x_aug = dense_lstsq(aug, vec_ry[:, 0])
+        x[:, 0] = x_aug[:q]
+        rhs = vec_ry.copy()
+        rhs[:, 0] -= x_aug[q] * noise_col
+        assert rec.noise_path == "augmented"
+        assert rec.sigma_n_hat == pytest.approx(x_aug[q].real, abs=1e-9 * scale)
+        check(rec, x, rhs)
+    else:
+        assert rec.noise_path == "white-floor"
+        floor = np.median(np.real(np.fft.fft(x, axis=1)))
+        assert rec.sigma_n_hat == pytest.approx(q * floor, abs=1e-9 * scale)
+        lags = rec.source_lags.copy()
+        lags[:, 0] += rec.sigma_n_hat / q
+        check(replace(rec, source_lags=lags), x, vec_ry)
 
 
 # ------------------------------------------------------------- spectrum
