@@ -19,13 +19,7 @@ from jafs.estimate import (
 )
 from jafs.model import ArrayGeometry, inverse_sin_grid, manifold_and_kr
 from jafs.oracle import exact_correlations, place_on_grid
-from jafs.simulate import (
-    CosetPattern,
-    SourceSpec,
-    spatial_compress,
-    temporal_compress,
-    ula_snapshots,
-)
+from jafs.simulate import CosetPattern, SourceSpec, compressed_blocks
 
 # ---------------------------------------------------------------------
 # 1. Scene and sampling design
@@ -53,9 +47,10 @@ for s in sources:
 # ---------------------------------------------------------------------
 
 n_blocks = 2000
-snaps = ula_snapshots(sources, geometry, noise_var, n_blocks, 8, master_seed=0)
-z = temporal_compress(spatial_compress(snaps, geometry), pattern)
-print(f"\nkept data: {z.shape} of full {snaps.shape}")
+# only the kept antennas and samples are ever computed
+z = compressed_blocks(sources, geometry, pattern, noise_var, n_blocks, master_seed=0)
+full = (n_blocks, geometry.n_underlying, pattern.n_t)
+print(f"\nkept data: {z.shape} of full {full}")
 
 pairs = pair_correlations(z)
 corr = recover_lags(build_rct(pattern), pairs)

@@ -30,17 +30,13 @@ KNOWN_RULERS = {
     83: (0, 1, 2, 4, 9, 19, 29, 39, 49, 59, 69, 72, 75, 80, 81, 83),
 }
 
-#: Largest length for which the default search proves minimality by
-#: complete enumeration.
+#: Largest length for which the search proves minimality by complete
+#: enumeration.
 EXHAUSTIVE_LIMIT = 13
 
-
-class RulerSearchBudgetError(RuntimeError):
-    """Raised when the complete ruler search exceeds its node budget.
-
-    A budget abort is a resource failure, never a claim that no smaller
-    ruler exists.
-    """
+# Search nodes the shrinking search above the exhaustive limit may visit,
+# shared by all its rounds; when they run out the best ruler so far stands.
+_SHRINK_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -75,14 +71,10 @@ class DifferenceSet:
     """
 
     values: tuple
-    spacing: Fraction
 
     def unique(self) -> tuple:
         """Distinct difference values, sorted ascending."""
         return tuple(sorted(set(self.values)))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -93,18 +85,12 @@ class RankCertificate:
     arithmetic-run condition (a contiguous virtual ULA inside the
     difference set) or ``"sine-grid-residues"`` for the distinct-residue
     condition that applies with the uniform-sine angle grid.  ``witness``
-    carries the measured quantity backing the verdict.  The condition
-    number of the realized Khatri-Rao matrix is attached by callers that
-    actually build it; it is reported, never gated.
+    carries the measured quantity backing the verdict.
     """
 
     passed: bool
     criterion: str
     witness: dict = field(default_factory=dict)
-    condition_number: Optional[float] = None
-
-    def with_condition_number(self, kappa: float) -> "RankCertificate":
-        return RankCertificate(self.passed, self.criterion, dict(self.witness), kappa)
 
 
 def _as_fraction(spacing: SpacingLike) -> Fraction:
@@ -144,42 +130,14 @@ def _min_cardinality_lower_bound(length: int) -> int:
     return k
 
 
-def _lex_search(length: int, k: int, budget: list) -> Optional[tuple]:
-    """Complete DFS for a k-mark ruler, visiting candidate mark sets in
-    lexicographic order so the first hit is the lexicographically least
-    solution.  ``budget`` is a single-element node counter; raises
-    :class:`RulerSearchBudgetError` when it runs out."""
-
-    def dfs(marks: list, covered: set) -> Optional[tuple]:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise RulerSearchBudgetError(
-                f"node budget exhausted searching length {length} at k={k}"
-            )
-        placed = len(marks)
-        missing = length - len(covered)
-        if missing == 0 and marks[-1] == length:
-            return tuple(marks)
-        left = k - placed
-        if left <= 0:
-            return None
-        # j extra marks add at most j*placed + j(j-1)/2 new lags
-        if missing > left * placed + left * (left - 1) // 2:
-            return None
-        lo = marks[-1] + 1
-        # the final mark must be `length` itself
-        hi = length - left + 1 if left > 1 else length
-        start = length if left == 1 else lo
-        for cand in range(start, hi + 1):
-            gained = {cand - m for m in marks} - covered
-            res = dfs(marks + [cand], covered | gained)
-            if res is not None:
-                return res
-        return None
-
-    if k < 2:
-        return (0,) if length == 0 else None
-    return dfs([0], set())
+def _least_minimal_ruler(length: int) -> tuple:
+    """Lexicographically least ruler of minimum cardinality: interior
+    marks enumerated in lexicographic order, fewest marks first."""
+    for k in itertools.count(_min_cardinality_lower_bound(length)):
+        for interior in itertools.combinations(range(1, length), k - 2):
+            marks = (0,) + interior + (length,)
+            if validate_ruler(marks, length):
+                return marks
 
 
 def _greedy_ruler(length: int) -> tuple:
@@ -204,14 +162,14 @@ def _greedy_ruler(length: int) -> tuple:
 def _gap_search(length: int, k: int, budget: list) -> Optional[tuple]:
     """Existence search for a k-mark ruler, branching on the largest
     uncovered lag.  Complete for the given k but not lexicographically
-    ordered; used above the exhaustive limit."""
+    ordered; used above the exhaustive limit.  ``budget`` is a
+    single-element node counter; once it runs out every node fails, so
+    an exhausted search returns None."""
 
     def dfs(marks: frozenset, covered: frozenset) -> Optional[tuple]:
         budget[0] -= 1
         if budget[0] < 0:
-            raise RulerSearchBudgetError(
-                f"node budget exhausted searching length {length} at k={k}"
-            )
+            return None
         missing = [g for g in range(1, length + 1) if g not in covered]
         if not missing:
             return tuple(sorted(marks))
@@ -243,48 +201,30 @@ def _gap_search(length: int, k: int, budget: list) -> Optional[tuple]:
     return dfs(frozenset({0, length}), frozenset({length}))
 
 
-def solve_sparse_ruler(
-    length: int,
-    marks: Optional[Iterable[int]] = None,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-    node_budget: int = 5_000_000,
-) -> RulerSolution:
+def solve_sparse_ruler(length: int) -> RulerSolution:
     """Find a sparse ruler covering lags ``1..length``.
 
-    For ``length <= exhaustive_limit`` the search is complete: the result
+    For ``length <= EXHAUSTIVE_LIMIT`` the search is complete: the result
     has provably minimum cardinality and is the lexicographically least
     such mark set.  For longer rulers a curated table of verified
     best-known solutions is consulted first, then a greedy construction
-    refined by a bounded branch-and-bound; the result is always valid but
-    minimality is not claimed.  Passing ``marks`` skips the search and
-    validates the supplied set instead.
-
-    Exhausting ``node_budget`` raises :class:`RulerSearchBudgetError`;
-    a budget abort is reported as such, never as a wrong answer.
+    is shrunk one mark at a time by a branch-and-bound search until it
+    fails or its node budget runs out; the result is always valid but
+    minimality is not claimed.  To use given marks, construct
+    :class:`RulerSolution` directly, which validates them.
     """
     if length < 1:
         raise ValueError("ruler length must be >= 1")
-    if marks is not None:
-        return RulerSolution(length, tuple(marks))
     if length in KNOWN_RULERS:
         return RulerSolution(length, KNOWN_RULERS[length])
-
-    budget = [node_budget]
-    if length <= exhaustive_limit:
-        k = _min_cardinality_lower_bound(length)
-        while True:
-            found = _lex_search(length, k, budget)
-            if found is not None:
-                return RulerSolution(length, found, minimal=True)
-            k += 1
+    if length <= EXHAUSTIVE_LIMIT:
+        return RulerSolution(length, _least_minimal_ruler(length), minimal=True)
 
     # above the exhaustive limit: greedy start, then try to shrink
     best = _greedy_ruler(length)
+    budget = [_SHRINK_BUDGET]
     while len(best) > _min_cardinality_lower_bound(length):
-        try:
-            smaller = _gap_search(length, len(best) - 1, budget)
-        except RulerSearchBudgetError:
-            break
+        smaller = _gap_search(length, len(best) - 1, budget)
         if smaller is None:
             break
         best = smaller
@@ -328,7 +268,7 @@ def difference_set(marks: Iterable[int], spacing: SpacingLike) -> DifferenceSet:
         raise ValueError("marks must be nonempty")
     d = _as_fraction(spacing)
     values = tuple((mi - mj) * d for mi, mj in itertools.product(ms, ms))
-    return DifferenceSet(values=values, spacing=d)
+    return DifferenceSet(values=values)
 
 
 def longest_run(values: Sequence, step) -> tuple:

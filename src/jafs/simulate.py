@@ -26,6 +26,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -397,14 +398,15 @@ def read_snapshots(path) -> SnapshotBlocks:
     """Inverse of write_snapshots."""
     with open(path, "rb") as fh:
         header = fh.read(32)
-        if len(header) != 32 or header[:8] != _SNAP_MAGIC:
-            raise ValueError("not a snapshot dump (bad header)")
-        rows, cols, n_blocks = struct.unpack("<QQQ", header[8:])
-        payload = fh.read()
+    if len(header) != 32 or header[:8] != _SNAP_MAGIC:
+        raise ValueError("not a snapshot dump (bad header)")
+    rows, cols, n_blocks = struct.unpack("<QQQ", header[8:])
+    size = os.path.getsize(path) - 32
     expect = n_blocks * rows * cols * 16
-    if len(payload) != expect:
+    if size != expect:
         raise ValueError(
-            f"truncated snapshot dump: {len(payload)} bytes, expected {expect}"
+            f"snapshot dump payload is {size} bytes, expected {expect}"
         )
-    arr = np.frombuffer(payload, dtype="<c16").reshape(int(n_blocks), int(rows), int(cols))
-    return SnapshotBlocks(blocks=arr.astype(np.complex128))
+    arr = np.fromfile(path, dtype="<c16", offset=32)
+    shape = (int(n_blocks), int(rows), int(cols))
+    return SnapshotBlocks(blocks=arr.reshape(shape).astype(np.complex128, copy=False))

@@ -198,6 +198,13 @@ def test_run_scenario_writes_artifacts(tmp_path):
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk["sigma_n_hat"] == report["sigma_n_hat"]
     assert on_disk["noise_path"] == "white-floor"
+    assert list(on_disk["timings"]) == [
+        "design_s",
+        "simulate_s",
+        "gram_s",
+        "estimate_s",
+        "export_s",
+    ]
     assert [g["name"] for g in on_disk["gates"]][-2:] == ["lag-coverage", "kr-rank"]
     assert all(g["passed"] for g in on_disk["gates"])
     # spectrum_plot frequencies are sorted ascending
@@ -388,6 +395,8 @@ def smoke_copy(tmp_path, old, new):
         ("band_hi_pi = 0.2\nvariance = 5", "band_hi_pi = 0.2\nvariance = inf"),
         ("band_lo_pi = -0.8", "band_lo_pi = -inf"),
         ("q = 15\nmode = inverse-sin", "q = 3\nmode = explicit\nangles_deg = -30 nan 30"),
+        ("n_blocks = 500\nseed = 0", "n_blocks = 500\nseed = -1"),
+        ("rows = 0 1 2 3 7\n", "rows = 0 1 2 3 7\nseed = -1\n"),
     ],
     ids=[
         "seed-abc",
@@ -395,6 +404,8 @@ def smoke_copy(tmp_path, old, new):
         "source-variance-inf",
         "band-edge-inf",
         "grid-angle-nan",
+        "run-seed-negative",
+        "coset-seed-negative",
     ],
 )
 def test_cli_bad_value_exits_2(tmp_path, capsys, old, new):
@@ -456,6 +467,27 @@ def test_cli_commands_agree_before_simulating(
     assert main(cli_args(command, path, tmp_path)) == code
     captured = capsys.readouterr()
     assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("run", ("--seed", "-5")),
+        ("sweep", ("--param", "n_blocks", "--values", "50", "--seeds", "-3")),
+        ("sweep", ("--param", "n_blocks", "--values", "0")),
+    ],
+    ids=["run-seed-negative", "sweep-seeds-negative", "sweep-n_blocks-0"],
+)
+def test_cli_override_out_of_range_exits_2(
+    tmp_path, capsys, monkeypatch, command, overrides
+):
+    forbid_simulation(monkeypatch)
+    args = [command, str(SMOKE), *overrides, "--output-dir", str(tmp_path / "o")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "o").exists()
 

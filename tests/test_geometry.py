@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from jafs import geometry
 from jafs.geometry import (
     KNOWN_RULERS,
-    RulerSearchBudgetError,
     RulerSolution,
     check_sine_grid_residues,
     check_virtual_ula,
@@ -63,16 +63,22 @@ def test_known_table_entries_are_valid():
         assert validate_ruler(marks, length)
 
 
-def test_user_supplied_marks_skip_search():
-    sol = solve_sparse_ruler(6, marks=(0, 2, 5, 6))
+def test_user_supplied_marks_are_validated():
+    sol = RulerSolution(6, (0, 2, 5, 6))
     assert sol.marks == (0, 2, 5, 6)
     with pytest.raises(ValueError):
-        solve_sparse_ruler(6, marks=(0, 5, 6))  # lag 2 missing
+        RulerSolution(6, (0, 5, 6))  # lag 2 missing
 
 
-def test_budget_exhaustion_is_a_distinct_failure():
-    with pytest.raises(RulerSearchBudgetError):
-        solve_sparse_ruler(13, node_budget=0)
+def test_exhausted_shrink_budget_keeps_the_best_ruler_so_far(monkeypatch):
+    # the greedy start for length 17 has 8 marks; the shrinking search
+    # finds 7 when it may search at all
+    assert solve_sparse_ruler(17).cardinality == 7
+    monkeypatch.setattr(geometry, "_SHRINK_BUDGET", 0)
+    sol = solve_sparse_ruler(17)
+    assert validate_ruler(sol.marks, 17)
+    assert sol.cardinality == 8
+    assert not sol.minimal
 
 
 def test_heuristic_range_returns_valid_ruler():
@@ -184,11 +190,3 @@ def test_any_ruler_yields_full_virtual_run(length, spacing):
     assert cert.passed
     assert cert.witness["run_length"] == 2 * length + 1
 
-
-def test_certificate_attaches_condition_number():
-    ds = difference_set((0, 1), 0.5)
-    cert = check_virtual_ula(ds, 3, 0.5)
-    assert cert.condition_number is None
-    tagged = cert.with_condition_number(12.5)
-    assert tagged.condition_number == 12.5
-    assert tagged.passed == cert.passed

@@ -363,9 +363,10 @@ def test_snapshot_read_rejects_truncation(tmp_path):
     path = tmp_path / "blocks.bin"
     write_snapshots(path, snaps)
     data = path.read_bytes()
-    path.write_bytes(data[:-16])
-    with pytest.raises(ValueError):
-        read_snapshots(path)
+    for bad in (data[:-16], data + b"\x00" * 16):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError):
+            read_snapshots(path)
 
 
 def test_stream_separation():
