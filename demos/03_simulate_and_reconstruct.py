@@ -9,17 +9,18 @@ map from averaged correlations.  Everything runs in about a second.
 import numpy as np
 
 from jafs.estimate import (
+    accumulate_gram,
     assemble_all,
     build_rct,
     find_peaks,
-    pair_correlations,
+    pair_vectors,
     recover_angular,
     recover_lags,
     spectrum,
 )
 from jafs.model import ArrayGeometry, inverse_sin_grid, manifold_and_kr
 from jafs.oracle import exact_correlations, place_on_grid
-from jafs.simulate import CosetPattern, SourceSpec, compressed_blocks
+from jafs.simulate import CosetPattern, SourceSpec, block_chunks
 
 # ---------------------------------------------------------------------
 # 1. Scene and sampling design
@@ -47,12 +48,15 @@ for s in sources:
 # ---------------------------------------------------------------------
 
 n_blocks = 2000
-# only the kept antennas and samples are ever computed
-z = compressed_blocks(sources, geometry, pattern, noise_var, n_blocks, master_seed=0)
+# only the kept antennas and samples are ever computed, chunk by chunk,
+# and each chunk is folded into one running Gram of the flattened blocks
+chunks = block_chunks(sources, geometry, pattern, noise_var, n_blocks, master_seed=0)
+gram, n_kept = accumulate_gram(chunks)
+kept = (n_kept, geometry.m_active, pattern.m_t)
 full = (n_blocks, geometry.n_underlying, pattern.n_t)
-print(f"\nkept data: {z.shape} of full {full}")
+print(f"\nkept data: {kept} of full {full}")
 
-pairs = pair_correlations(z)
+pairs = pair_vectors(gram, n_kept, pattern.m_t)
 corr = recover_lags(build_rct(pattern), pairs)
 
 # ---------------------------------------------------------------------

@@ -8,10 +8,11 @@ Stages, in data-flow order:
    N_n; pair_vectors divides by N_n and reshapes it into the averaged
    vec(z_i z_j^H) of every ordered antenna pair (pair_correlations does
    both for blocks held in memory).
-2. recover_lags: the 2N_t-1 uncompressed lags from the compressed
-   correlations.  The selection-sum system has one 1 per row, so its
-   least-squares solution is closed form: each lag is the mean of the
-   coset row pairs that realize it.
+2. recover_lags: the 2N_t-1 uncompressed lags of every antenna pair
+   from the compressed correlations, as one (M_s, M_s, 2N_t-1) array.
+   The selection-sum system has one 1 per row, so its least-squares
+   solution is closed form: each lag is the mean of the coset row pairs
+   that realize it.
 3. assemble_all: regroup recovered lags into vec(R_y[k]), one column
    per lag.
 4. recover_angular: least-squares inversion of the spatial Khatri-Rao
@@ -202,38 +203,10 @@ def pair_correlations(snapshots: SnapshotBlocks) -> np.ndarray:
     return pair_vectors(block_gram(z), z.shape[0], z.shape[2])
 
 
-@dataclass(frozen=True)
-class CorrelationSet:
-    """Recovered uncompressed lag vectors per ordered antenna pair.
-
-    values[i, j, l] estimates E[y_i[t+k] conj(y_j[t])] for the lag k at
-    canonical index l = k mod (2N_t-1).
-    """
-
-    n_t: int
-    values: np.ndarray  # (m_s, m_s, 2*n_t - 1)
-
-    def __post_init__(self):
-        arr = np.asarray(self.values)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def m_s(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_lags(self) -> int:
-        return 2 * self.n_t - 1
-
-    def lag_index(self, k: int) -> int:
-        if not (-self.n_t < k < self.n_t):
-            raise ValueError(f"lag {k} outside |k| <= {self.n_t - 1}")
-        return k % self.n_lags
-
-
-def recover_lags(rct: RctMatrix, pair_vecs: np.ndarray) -> CorrelationSet:
-    """Least-squares lag recovery for every antenna pair at once.
+def recover_lags(rct: RctMatrix, pair_vecs: np.ndarray) -> np.ndarray:
+    """Least-squares lag recovery for every antenna pair at once, shape
+    (M_s, M_s, 2N_t-1): entry [i, j, l] estimates E[y_i[t+k] conj(y_j[t])]
+    for the lag k at canonical index l.
 
     Each row of the selection-sum matrix holds a single 1, so its normal
     equations are diagonal: the least-squares lag is the mean of the
@@ -255,7 +228,7 @@ def recover_lags(rct: RctMatrix, pair_vecs: np.ndarray) -> CorrelationSet:
     if pair_vecs.shape != (m_s, m_s, rct.m_t ** 2):
         raise ValueError("pair_vecs must have shape (M_s, M_s, M_t**2)")
     values = _group_means(pair_vecs.reshape(m_s * m_s, -1).T, rct.col_index, counts).T
-    return CorrelationSet(n_t=rct.n_t, values=values.reshape(m_s, m_s, rct.n_lags))
+    return values.reshape(m_s, m_s, rct.n_lags)
 
 
 def _group_means(values: np.ndarray, index: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -267,13 +240,13 @@ def _group_means(values: np.ndarray, index: np.ndarray, counts: np.ndarray) -> n
     return sums / counts.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
-def assemble_all(corr: CorrelationSet) -> np.ndarray:
-    """vec(R_y[k]) for every lag, shape (M_s**2, 2N_t-1): column l is the
-    lag at canonical index l, column-major, so entry i + j*M_s is
-    r_{y_i,y_j}[k].  This is exactly the row order the Khatri-Rao matrix
-    assumes."""
-    m = corr.m_s
-    return corr.values.transpose(1, 0, 2).reshape(m * m, corr.n_lags)
+def assemble_all(corr: np.ndarray) -> np.ndarray:
+    """vec(R_y[k]) for every lag from recover_lags' (M_s, M_s, 2N_t-1)
+    array, shape (M_s**2, 2N_t-1): column l is the lag at canonical index
+    l, column-major, so entry i + j*M_s is r_{y_i,y_j}[k].  This is exactly
+    the row order the Khatri-Rao matrix assumes."""
+    m_s, _, n_lags = corr.shape
+    return corr.transpose(1, 0, 2).reshape(m_s * m_s, n_lags)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -201,6 +202,7 @@ def _gap_search(length: int, k: int, budget: list) -> Optional[tuple]:
     return dfs(frozenset({0, length}), frozenset({length}))
 
 
+@functools.cache
 def solve_sparse_ruler(length: int) -> RulerSolution:
     """Find a sparse ruler covering lags ``1..length``.
 
@@ -210,7 +212,8 @@ def solve_sparse_ruler(length: int) -> RulerSolution:
     best-known solutions is consulted first, then a greedy construction
     is shrunk one mark at a time by a branch-and-bound search until it
     fails or its node budget runs out; the result is always valid but
-    minimality is not claimed.  To use given marks, construct
+    minimality is not claimed.  Each length is solved once per process
+    and the frozen result reused.  To use given marks, construct
     :class:`RulerSolution` directly, which validates them.
     """
     if length < 1:

@@ -56,6 +56,7 @@ import json
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, replace as _replace
 from fractions import Fraction
@@ -91,11 +92,7 @@ class ConfigError(ValueError):
 
 
 class DesignGateError(RuntimeError):
-    """A hard design gate failed; carries the gate record."""
-
-    def __init__(self, message: str, gate: dict):
-        super().__init__(message)
-        self.gate = gate
+    """A hard design gate failed."""
 
 
 @dataclass(frozen=True)
@@ -304,11 +301,7 @@ def pattern_of(cfg: ScenarioConfig) -> CosetPattern:
     if cfg.m_t > cfg.n_t:
         raise ConfigError(f"m_t = {cfg.m_t} exceeds n_t = {cfg.n_t}")
     seed = cfg.coset_seed if cfg.coset_seed is not None else cfg.master_seed
-    try:
-        return build_coset_pattern(cfg.n_t, cfg.m_t, seed)
-    except CosetCardinalityError as exc:
-        gate = _gate_record("coset-ruler-cardinality", "hard", False, str(exc))
-        raise DesignGateError(f"coset-ruler-cardinality failed: {exc}", gate=gate)
+    return build_coset_pattern(cfg.n_t, cfg.m_t, seed)
 
 
 def _gate_record(name: str, level: str, passed: bool, detail: str) -> dict:
@@ -353,7 +346,7 @@ def require_gates(gates: list) -> None:
     """Raise DesignGateError on the first failed hard gate record."""
     for gate in gates:
         if gate["level"] == "hard" and not gate["passed"]:
-            raise DesignGateError(f"{gate['name']} failed: {gate['detail']}", gate=gate)
+            raise DesignGateError(f"{gate['name']} failed: {gate['detail']}")
 
 
 class Resolution(NamedTuple):
@@ -370,20 +363,23 @@ def resolve(cfg: ScenarioConfig) -> Resolution:
     """Gate, build and certify the design: the one front door of run,
     certify and sweep.  Failed gates are recorded, not raised; a
     configuration that describes no design raises ConfigError, as does
-    a seed, block count or row count out of range, however it was set."""
+    a seed, block count, row count or worker count out of range, however
+    it was set."""
     for name, value, least in (
         ("[run] seed", cfg.master_seed, 0),
         ("[coset] seed", cfg.coset_seed, 0),
         ("[run] n_blocks", cfg.n_blocks, 1),
         ("[coset] m_t", cfg.m_t, 1),
+        ("worker count", cfg.workers, 1),
     ):
         if value is not None and value < least:
             raise ConfigError(f"{name} = {value} must be >= {least}")
     gates = check_gates(cfg)
     try:
         design = est.Design(geometry_of(cfg), grid_of(cfg), pattern_of(cfg))
-    except DesignGateError as exc:
-        return Resolution(gates + [exc.gate], None, None)
+    except CosetCardinalityError as exc:
+        gate = _gate_record("coset-ruler-cardinality", "hard", False, str(exc))
+        return Resolution(gates + [gate], None, None)
     certs = design_certificates(design)
     uncovered = int((design.rct.pair_counts == 0).sum())
     lags = design.rct.n_lags
@@ -595,7 +591,8 @@ def run_sweep(
     is undefined), the noise-power error, and the fraction of true
     sources matched by a detection within one grid cell.  Every run's
     design is resolved, and its gates required, before any run starts;
-    runs then execute on a thread pool sized by the config's worker count.
+    runs then execute, in job order, on a thread pool of the config's
+    worker count (one when unset).
     """
     if param not in ("n_blocks", "m_t"):
         raise ConfigError(f"sweep parameter must be n_blocks or m_t, got {param!r}")
@@ -614,14 +611,8 @@ def run_sweep(
         value, seed, sub, design = job
         return (value, seed) + _sweep_metrics(sub, design)
 
-    workers = cfg.workers or 1
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=cfg.workers or 1) as pool:
+        results = list(pool.map(one, jobs))
 
     path = out / "sweep.csv"
     rows = [["param", "value", "seed", "rs_rel_error", "sigma_rel_error", "detection_rate"]]

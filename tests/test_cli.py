@@ -1,15 +1,19 @@
 """Scenario parsing, design gates, and the command-line front end."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jafs import cli, estimate, geometry, model, oracle, scenario, simulate
 from jafs.cli import main
@@ -19,10 +23,12 @@ from jafs.scenario import (
     check_gates,
     load_scenario,
     require_gates,
+    resolve,
     run_certify,
     run_scenario,
     run_sweep,
 )
+from jafs.simulate import CosetCardinalityError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SMOKE = SCENARIOS / "smoke.scenario"
@@ -397,6 +403,8 @@ def smoke_copy(tmp_path, old, new):
         ("q = 15\nmode = inverse-sin", "q = 3\nmode = explicit\nangles_deg = -30 nan 30"),
         ("n_blocks = 500\nseed = 0", "n_blocks = 500\nseed = -1"),
         ("rows = 0 1 2 3 7\n", "rows = 0 1 2 3 7\nseed = -1\n"),
+        ("n_blocks = 500\nseed = 0", "n_blocks = 500\nseed = 0\nworkers = 0"),
+        ("n_blocks = 500\nseed = 0", "n_blocks = 500\nseed = 0\nworkers = -2"),
     ],
     ids=[
         "seed-abc",
@@ -406,12 +414,49 @@ def smoke_copy(tmp_path, old, new):
         "grid-angle-nan",
         "run-seed-negative",
         "coset-seed-negative",
+        "workers-zero",
+        "workers-negative",
     ],
 )
 def test_cli_bad_value_exits_2(tmp_path, capsys, old, new):
     path = smoke_copy(tmp_path, old, new)
     assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+SMOKE_LINES = SMOKE.read_text().splitlines()
+SMOKE_VALUES = [i for i, line in enumerate(SMOKE_LINES) if " = " in line]
+# integers stay at most 14, so every ruler (N_t - 1 or N_s - 1 long) is
+# enumerated, never searched
+FUZZ_TOKENS = st.one_of(
+    st.integers(-20, 14).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "", "abc"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(line=st.sampled_from(SMOKE_VALUES), token=FUZZ_TOKENS)
+def test_cli_certify_fuzzed_smoke_value_exits_cleanly(line, token):
+    lines = list(SMOKE_LINES)
+    lines[line] = lines[line].split(" = ", 1)[0] + " = " + token
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.scenario"
+        path.write_text("\n".join(lines) + "\n")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["certify", str(path)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def test_cli_zero_workers_from_environment_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(scenario.WORKERS_ENV, "0")
+    forbid_simulation(monkeypatch)
+    args = cli_args("sweep", SMOKE, tmp_path)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "worker count = 0" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def forbid_simulation(monkeypatch):
@@ -552,9 +597,11 @@ def test_cli_m_t_below_coset_ruler_cardinality_exits_3(
 
 def test_coset_ruler_cardinality_gate_record():
     cfg = replace(load_scenario(FLAGSHIP), m_t=13)
-    with pytest.raises(DesignGateError) as info:
+    with pytest.raises(CosetCardinalityError):
         scenario.pattern_of(cfg)
-    gate = info.value.gate
+    resolved = resolve(cfg)
+    assert resolved.design is None and resolved.certificates is None
+    gate = resolved.gates[-1]
     assert gate["name"] == "coset-ruler-cardinality"
     assert gate["level"] == "hard" and gate["passed"] is False
 
@@ -567,6 +614,19 @@ def test_solved_marks_are_not_solved_again_after_load(tmp_path, monkeypatch):
     run_scenario(cfg, output_dir=str(tmp_path / "run"))
     run_sweep(cfg, "n_blocks", [100, 200], [0, 1], output_dir=str(tmp_path / "sweep"))
     assert calls == {}
+
+
+def test_sweep_over_m_t_solves_each_coset_ruler_once(tmp_path, monkeypatch):
+    # length 15 is neither curated nor enumerated, so every solve of it
+    # starts from the greedy ruler
+    text = SMOKE.read_text().replace(ROWS, "m_t = 7\n").replace("n_t = 8", "n_t = 16")
+    cfg = load_scenario(write_scenario(tmp_path, text))
+    cfg = replace(cfg, n_blocks=50)
+    geometry.solve_sparse_ruler.cache_clear()
+    calls = count_calls(monkeypatch, [("_greedy_ruler", geometry)])
+    path = run_sweep(cfg, "m_t", [7, 8], [0, 1], output_dir=str(tmp_path / "sweep"))
+    assert len(path.read_text().splitlines()) == 5
+    assert calls == {"_greedy_ruler": 1}
 
 
 def test_run_scenario_resolves_design_once(tmp_path, monkeypatch):

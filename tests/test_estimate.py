@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jafs.estimate import (
-    CorrelationSet,
     RankDeficiencyError,
     accumulate_gram,
     assemble_all,
@@ -93,6 +92,18 @@ def test_repetition_reproduces_toeplitz_vec(n_t):
     expected = toeplitz_from_lags(r, n_t).flatten(order="F")
     np.testing.assert_allclose(rep.as_dense() @ r, expected, atol=1e-14)
     np.testing.assert_allclose(rep.apply(r), expected, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_t=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_repetition_and_full_pattern_rct_over_drawn_sizes(n_t, seed):
+    r = random_lag_vector(np.random.default_rng(seed), n_t, hermitian=False)
+    rep = repetition_matrix(n_t)
+    expected = toeplitz_from_lags(r, n_t).flatten(order="F")
+    np.testing.assert_array_equal(rep.apply(r), expected)
+    # keeping every row makes the selection-sum matrix T itself
+    rct = build_rct(CosetPattern(n_t, tuple(range(n_t))))
+    np.testing.assert_array_equal(rct.col_index, np.asarray(rep.row_targets) - 1)
 
 
 # --------------------------------------------------------------- R_ct
@@ -208,14 +219,14 @@ def test_recover_lags_exact_on_identity_pattern():
     r = random_lag_vector(rng, n_t)
     vec = repetition_matrix(n_t).apply(r)
     corr = recover_lags(build_rct(pattern), vec.reshape(1, 1, -1))
-    np.testing.assert_allclose(corr.values[0, 0], r, atol=1e-12)
+    np.testing.assert_allclose(corr[0, 0], r, atol=1e-12)
 
 
 def test_recover_lags_exact_on_ruler_pattern():
     geo, grid, pattern, sources = smoke_setup()
     exact = exact_correlations(sources, geo, grid, pattern, 5.0)
     corr = recover_lags(build_rct(pattern), exact.pair_vecs)
-    np.testing.assert_allclose(corr.values, exact.table, atol=1e-10)
+    np.testing.assert_allclose(corr, exact.table, atol=1e-10)
 
 
 def test_recover_lags_equals_per_lag_averaging():
@@ -232,12 +243,12 @@ def test_recover_lags_equals_per_lag_averaging():
     corr = recover_lags(rct, pairs)
     n_lags = rct.n_lags
     counts = np.bincount(rct.col_index, minlength=n_lags)
-    for i in range(corr.m_s):
-        for j in range(corr.m_s):
+    for i in range(corr.shape[0]):
+        for j in range(corr.shape[1]):
             sums = np.zeros(n_lags, dtype=complex)
             np.add.at(sums, rct.col_index, pairs[i, j])
             np.testing.assert_allclose(
-                corr.values[i, j], sums / counts, atol=1e-12
+                corr[i, j], sums / counts, atol=1e-12
             )
 
 
@@ -255,22 +266,12 @@ def test_recover_lags_closed_form_matches_dense_least_squares(n_t, extras, m_s, 
     rng = np.random.default_rng(seed)
     shape = (m_s, m_s, pattern.m_t ** 2)
     pair_vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    got = recover_lags(rct, pair_vecs).values
+    got = recover_lags(rct, pair_vecs)
     ref = np.linalg.lstsq(
         rct.as_dense(), pair_vecs.reshape(m_s * m_s, -1).T, rcond=None
     )[0]
     ref = ref.T.reshape(m_s, m_s, rct.n_lags)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_correlation_set_lag_index():
-    corr = CorrelationSet(n_t=4, values=np.zeros((2, 2, 7), dtype=complex))
-    assert corr.lag_index(0) == 0
-    assert corr.lag_index(3) == 3
-    assert corr.lag_index(-1) == 6
-    assert corr.lag_index(-3) == 4
-    with pytest.raises(ValueError):
-        corr.lag_index(4)
 
 
 # ------------------------------------------------------------ assembly
@@ -282,17 +283,14 @@ def test_assemble_spatial_ordering():
     vals[1, 0, 1] = 21
     vals[0, 1, 1] = 12
     vals[1, 1, 1] = 22
-    corr = CorrelationSet(n_t=2, values=vals)
-    np.testing.assert_array_equal(
-        assemble_all(corr)[:, corr.lag_index(1)], [11, 21, 12, 22]
-    )
+    # lag 1 sits at canonical column 1
+    np.testing.assert_array_equal(assemble_all(vals)[:, 1], [11, 21, 12, 22])
 
 
 def test_assemble_all_matches_per_lag():
     rng = np.random.default_rng(9)
     vals = rng.standard_normal((3, 3, 5)) + 1j * rng.standard_normal((3, 3, 5))
-    corr = CorrelationSet(n_t=3, values=vals)
-    stacked = assemble_all(corr)
+    stacked = assemble_all(vals)
     assert stacked.shape == (9, 5)
     # column l is vec(values[:, :, l]), column-major
     for col in range(5):
@@ -306,10 +304,11 @@ def test_assemble_noise_only_is_vec_identity():
     exact = exact_correlations((), geo, grid, pattern, 2.5)
     corr = recover_lags(build_rct(pattern), exact.pair_vecs)
     stacked = assemble_all(corr)
+    # lags 0 and 3 sit at canonical columns 0 and 3
     np.testing.assert_allclose(
-        stacked[:, corr.lag_index(0)], 2.5 * np.eye(5).flatten(order="F"), atol=1e-12
+        stacked[:, 0], 2.5 * np.eye(5).flatten(order="F"), atol=1e-12
     )
-    assert np.abs(stacked[:, corr.lag_index(3)]).max() < 1e-12
+    assert np.abs(stacked[:, 3]).max() < 1e-12
 
 
 # ----------------------------------------------------- angular recovery
@@ -513,6 +512,23 @@ def test_spectrum_parseval_row_sums():
     n_lags = 2 * n_t - 1
     row_sums = spec.values.sum(axis=1)
     np.testing.assert_allclose(row_sums, n_lags * lags[:, 0], rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_t=st.integers(1, 64), q=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_spectrum_parseval_over_drawn_sizes(n_t, q, seed):
+    rng = np.random.default_rng(seed)
+    lags = np.stack([random_lag_vector(rng, n_t) for _ in range(q)])
+    spec = spectrum(lags, inverse_sin_grid(q))
+    n_lags = 2 * n_t - 1
+    np.testing.assert_allclose(
+        np.sum(np.abs(spec.values) ** 2, axis=1),
+        n_lags * np.sum(np.abs(lags) ** 2, axis=1),
+        rtol=1e-12,
+    )
+    np.testing.assert_allclose(
+        spec.values.sum(axis=1), n_lags * lags[:, 0], rtol=1e-12, atol=1e-12
+    )
 
 
 def test_spectrum_band_mass_concentrated():

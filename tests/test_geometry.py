@@ -74,8 +74,12 @@ def test_exhausted_shrink_budget_keeps_the_best_ruler_so_far(monkeypatch):
     # the greedy start for length 17 has 8 marks; the shrinking search
     # finds 7 when it may search at all
     assert solve_sparse_ruler(17).cardinality == 7
+    # solutions are cached per length; clear so neither budget's ruler
+    # answers for the other, here or in a later test
+    solve_sparse_ruler.cache_clear()
     monkeypatch.setattr(geometry, "_SHRINK_BUDGET", 0)
     sol = solve_sparse_ruler(17)
+    solve_sparse_ruler.cache_clear()
     assert validate_ruler(sol.marks, 17)
     assert sol.cardinality == 8
     assert not sol.minimal

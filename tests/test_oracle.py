@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jafs.estimate import build_rct, pair_correlations, recover_lags
+from jafs.geometry import solve_sparse_ruler
 from jafs.model import ArrayGeometry, inverse_sin_grid
 from jafs.oracle import (
     exact_correlations,
@@ -17,6 +19,7 @@ from jafs.oracle import (
 from jafs.simulate import (
     CosetPattern,
     SourceSpec,
+    build_coset_pattern,
     design_bandpass,
     spatial_compress,
     temporal_compress,
@@ -167,8 +170,44 @@ def test_recovered_lags_match_oracle_table():
     snaps = ula_snapshots(sources, geo, 5.0, 4000, 8, master_seed=1)
     z = temporal_compress(spatial_compress(snaps, geo), pattern)
     corr = recover_lags(build_rct(pattern), pair_correlations(z))
-    err = np.linalg.norm(corr.values - exact.table) / np.linalg.norm(exact.table)
+    err = np.linalg.norm(corr - exact.table) / np.linalg.norm(exact.table)
     assert err < 0.1
+
+
+@st.composite
+def exact_scenes(draw):
+    """On-grid sources seen by a ruler-thinned array of at most 14
+    antennas through a ruler-based coset pattern of at most 14 rows; every
+    ruler is solved by exhaustive enumeration."""
+    n_s = draw(st.integers(2, 14))
+    geo = ArrayGeometry(n_s, 0.5, solve_sparse_ruler(n_s - 1).marks)
+    n_t = draw(st.integers(1, 14))
+    least = solve_sparse_ruler(n_t - 1).cardinality if n_t > 1 else 1
+    m_t = draw(st.integers(least, n_t))
+    pattern = build_coset_pattern(n_t, m_t, draw(st.integers(0, 2 ** 32 - 1)))
+    q = draw(st.integers(1, 2 * n_s - 1))
+    grid = inverse_sin_grid(q)
+    sources = []
+    for _ in range(draw(st.integers(0, 3))):
+        # an even grid's first angle is -90 degrees, which no source takes
+        doa = float(grid.angles[draw(st.integers(1 - q % 2, q - 1))])
+        lo = draw(st.integers(0, n_t - 1))
+        hi = draw(st.integers(lo + 1, n_t))
+        band = (np.pi * (2 * lo / n_t - 1), np.pi * (2 * hi / n_t - 1))
+        sources.append(SourceSpec(doa, band, draw(st.floats(0.1, 10))))
+    return geo, grid, pattern, tuple(sources), draw(st.floats(0, 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=exact_scenes())
+def test_recovered_lags_pair_hermitian_on_exact_data(scene):
+    # values[i, j, -k] = conj(values[j, i, k]) for every pair and lag
+    geo, grid, pattern, sources, noise = scene
+    exact = exact_correlations(sources, geo, grid, pattern, noise)
+    corr = recover_lags(build_rct(pattern), exact.pair_vecs)
+    n_lags = corr.shape[2]
+    mirrored = corr[:, :, -np.arange(n_lags) % n_lags]
+    np.testing.assert_allclose(mirrored, np.conj(corr.transpose(1, 0, 2)), atol=1e-10)
 
 
 # --------------------------------------------------- uncompressed reference
