@@ -76,7 +76,7 @@ class AngularGrid:
         ang = np.asarray(self.angles, dtype=float)
         if ang.ndim != 1 or ang.size != self.q_count:
             raise ValueError("angles must be a length-Q vector")
-        if np.any(ang < -np.pi / 2) or np.any(ang > np.pi / 2):
+        if not np.all((ang >= -np.pi / 2) & (ang <= np.pi / 2)):
             raise ValueError("angles must lie in [-pi/2, pi/2] radians")
         if ang.size > 1 and np.any(np.diff(ang) <= 0):
             raise ValueError("angles must be strictly increasing")

@@ -35,18 +35,18 @@ A scenario file is INI-style text with sections::
     ; workers = 4            ; also settable via JAFS_WORKERS
     ; dump_snapshots = true  ; write compressed blocks next to the CSVs
 
-resolve(cfg) gates, builds and certifies the design for run, certify
-and sweep alike, before anything is simulated: certify reports every gate
-record, run and sweep stop on the first failed hard one.  Hard gates:
-temporal-overdetermination (M_t**2 >= 2*N_t - 1, else the lag system is
-underdetermined); band-resolution (every source band at least 2*pi/N_t
-wide, all the N_t-tap source filters resolve); coset-ruler-cardinality
-(M_t reaches the cardinality of the length-(N_t-1) coset ruler when the
-rows are built from it; recorded only when it fails, since then no
-design exists); lag-coverage (the coset rows realize every lag);
-kr-rank (the Khatri-Rao matrix has rank Q).  M_s**2 >= Q is a warning
-(the angular system is certified anyway); Q <= 2*N_s - 1 is advisory
-(more grid angles than the full co-array could ever resolve).
+load_scenario parses; resolve(cfg) judges the values, gates, builds and
+certifies the design for run, certify and sweep alike, before anything is
+simulated: certify reports every gate record, run and sweep stop on the
+first failed hard one.  Hard gates: temporal-overdetermination (M_t**2 >=
+2*N_t - 1, else the lag system is underdetermined); band-resolution (every
+source band at least 2*pi/N_t wide, all the N_t-tap source filters
+resolve); coset-ruler-cardinality (M_t reaches the cardinality of the
+length-(N_t-1) coset ruler when the rows are built from it; recorded only
+when it fails, since then no design exists); lag-coverage (the coset rows
+realize every lag); kr-rank (the Khatri-Rao matrix has rank Q).  M_s**2 >=
+Q is a warning (the angular system is certified anyway); Q <= 2*N_s - 1 is
+advisory (more grid angles than the full co-array could ever resolve).
 """
 
 from __future__ import annotations
@@ -117,17 +117,14 @@ class ScenarioConfig:
     dump_snapshots: bool = False
 
 
-def _parse_int(section, key, minimum=None):
+def _parse_int(section, key):
     raw = section.get(key)
     if raw is None:
         raise ConfigError(f"[{section.name}] missing key '{key}'")
     try:
-        val = int(raw)
+        return int(raw)
     except ValueError:
         raise ConfigError(f"[{section.name}] {key} = {raw!r} is not an integer")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"[{section.name}] {key} must be >= {minimum}")
-    return val
 
 
 def _parse_float(section, key, default=None):
@@ -153,44 +150,39 @@ def _parse_marks(raw):
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse and validate a scenario file.  Raises ConfigError on any
-    structural problem; design gates are checked later, not here."""
+    """Parse a scenario file; ConfigError if it is unreadable or a value
+    has the wrong form.  resolve judges whether the values are usable."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"scenario file not found: {path}")
     try:
-        parser.read_string(path.read_text(), source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}")
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
 
     for name in ("geometry", "coset", "grid", "noise", "run"):
         if name not in parser:
             raise ConfigError(f"missing [{name}] section")
 
     geo = parser["geometry"]
-    n_underlying = _parse_int(geo, "n_underlying", minimum=1)
+    n_underlying = _parse_int(geo, "n_underlying")
     spacing = _parse_float(geo, "spacing")
     marks_raw = geo.get("marks", "solve").strip()
     marks = None if marks_raw.lower() == "solve" else _parse_marks(marks_raw)
 
     coset = parser["coset"]
-    n_t = _parse_int(coset, "n_t", minimum=1)
+    n_t = _parse_int(coset, "n_t")
     m_t = _parse_int(coset, "m_t")
     rows_raw = coset.get("rows")
     coset_rows = _parse_marks(rows_raw) if rows_raw else None
     coset_seed = _parse_int(coset, "seed") if coset.get("seed") else None
-    try:
-        if marks is None:
+    if marks is None:
+        try:
             marks = solve_sparse_ruler(n_underlying - 1).marks
-        ArrayGeometry(n_underlying=n_underlying, spacing_d=spacing, active_marks=marks)
-        if coset_rows is not None:
-            CosetPattern(n_t=n_t, rows=coset_rows)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc))
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
     grid_sec = parser["grid"]
-    grid_q = _parse_int(grid_sec, "q", minimum=1)
+    grid_q = _parse_int(grid_sec, "q")
     mode = grid_sec.get("mode", "inverse-sin").strip().lower()
     if mode == "inverse-sin":
         grid_angles = None
@@ -202,18 +194,15 @@ def load_scenario(path) -> ScenarioConfig:
             grid_angles = tuple(np.radians(float(tok)) for tok in raw.split())
         except ValueError:
             raise ConfigError("[grid] angles_deg must be numbers")
-        if not np.all(np.isfinite(grid_angles)):
-            raise ConfigError("[grid] angles_deg must be finite")
-        if len(grid_angles) != grid_q:
-            raise ConfigError("[grid] angles_deg count must equal q")
     else:
         raise ConfigError(f"[grid] unknown mode {mode!r}")
 
     sources = []
-    src_names = sorted(
-        (name for name in parser.sections() if name.startswith("source.")),
-        key=lambda name: int(name.split(".", 1)[1]),
-    )
+    src_names = [name for name in parser.sections() if name.startswith("source.")]
+    try:
+        src_names.sort(key=lambda name: int(name.split(".", 1)[1]))
+    except ValueError:
+        raise ConfigError("source sections must be [source.N] with an integer N")
     for name in src_names:
         sec = parser[name]
         try:
@@ -310,8 +299,8 @@ def _gate_record(name: str, level: str, passed: bool, detail: str) -> dict:
 
 def check_gates(cfg: ScenarioConfig) -> list:
     """Records of the cross-field design gates, which need no design;
-    failed ones included (require_gates acts on them)."""
-    m_s = geometry_of(cfg).m_active
+    failed ones included (require_gates acts on them).  Resolve first."""
+    m_s = len(cfg.marks)
     narrowest = min((s.band[1] - s.band[0] for s in cfg.sources), default=2 * np.pi)
     bin_pi = 2 / cfg.n_t
     return [
@@ -360,11 +349,10 @@ class Resolution(NamedTuple):
 
 
 def resolve(cfg: ScenarioConfig) -> Resolution:
-    """Gate, build and certify the design: the one front door of run,
-    certify and sweep.  Failed gates are recorded, not raised; a
-    configuration that describes no design raises ConfigError, as does
-    a seed, block count, row count or worker count out of range, however
-    it was set."""
+    """Judge the values, then gate, build and certify the design: the one
+    front door of run, certify and sweep.  Failed gates are recorded, not
+    raised; a value out of range, however it was set, and a configuration
+    that describes no geometry, grid or coset pattern raise ConfigError."""
     for name, value, least in (
         ("[run] seed", cfg.master_seed, 0),
         ("[coset] seed", cfg.coset_seed, 0),
@@ -374,12 +362,15 @@ def resolve(cfg: ScenarioConfig) -> Resolution:
     ):
         if value is not None and value < least:
             raise ConfigError(f"{name} = {value} must be >= {least}")
-    gates = check_gates(cfg)
     try:
-        design = est.Design(geometry_of(cfg), grid_of(cfg), pattern_of(cfg))
+        parts = geometry_of(cfg), grid_of(cfg), pattern_of(cfg)
     except CosetCardinalityError as exc:
         gate = _gate_record("coset-ruler-cardinality", "hard", False, str(exc))
-        return Resolution(gates + [gate], None, None)
+        return Resolution(check_gates(cfg) + [gate], None, None)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    gates = check_gates(cfg)
+    design = est.Design(*parts)
     certs = design_certificates(design)
     uncovered = int((design.rct.pair_counts == 0).sum())
     lags = design.rct.n_lags
@@ -398,7 +389,7 @@ def design_certificates(design: est.Design) -> dict:
     rank-condition certificates, and the realized Khatri-Rao rank."""
     geometry, pattern = design.geometry, design.pattern
     q_count = design.grid.q_count
-    d = Fraction(geometry.spacing_d).limit_denominator(10 ** 9)
+    d = Fraction(repr(geometry.spacing_d))
     diffs = difference_set(geometry.active_marks, d)
     return {
         "geometry": {
@@ -478,8 +469,9 @@ def run_scenario(
     solve, export.  No block array is held beyond one chunk.
 
     Writes spectrum CSVs, the angular marginal, and report.json into the
-    output directory; returns the report.  Partial outputs are removed if
-    any stage fails.
+    output directory; returns the report.  ``timings["export_s"]`` covers
+    writing the CSVs and assembling the report, not writing report.json,
+    which holds it.  Partial outputs are removed if any stage fails.
     """
     if seed is not None:
         cfg = _replace(cfg, master_seed=seed)
@@ -488,8 +480,7 @@ def run_scenario(
     require_gates(resolved.gates)
     design = resolved.design
     timings = {"design_s": time.perf_counter() - t0}
-    out = Path(output_dir if output_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg, output_dir)
     written = []
     try:
         chunks = _simulated_chunks(cfg, design)
@@ -537,6 +528,16 @@ def run_scenario(
             except OSError:
                 pass
         raise
+
+
+def _output_dir(cfg: ScenarioConfig, override: Optional[str]) -> Path:
+    """The output directory, ``override`` if given, created if missing."""
+    out = Path(override if override is not None else cfg.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot use output directory {str(out)!r}: {exc}")
+    return out
 
 
 def _simulated_chunks(cfg: ScenarioConfig, design: est.Design):
@@ -604,8 +605,7 @@ def run_sweep(
             resolved = resolve(sub)
             require_gates(resolved.gates)
             jobs.append((value, seed, sub, resolved.design))
-    out = Path(output_dir if output_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg, output_dir)
 
     def one(job):
         value, seed, sub, design = job

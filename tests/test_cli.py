@@ -405,6 +405,9 @@ def smoke_copy(tmp_path, old, new):
         ("rows = 0 1 2 3 7\n", "rows = 0 1 2 3 7\nseed = -1\n"),
         ("n_blocks = 500\nseed = 0", "n_blocks = 500\nseed = 0\nworkers = 0"),
         ("n_blocks = 500\nseed = 0", "n_blocks = 500\nseed = 0\nworkers = -2"),
+        ("q = 15\nmode = inverse-sin", "q = 3\nmode = explicit\nangles_deg = 30 0 -30"),
+        ("q = 15\nmode = inverse-sin", "q = 3\nmode = explicit\nangles_deg = -30 0 95"),
+        ("[source.1]", "[source.x]"),
     ],
     ids=[
         "seed-abc",
@@ -416,6 +419,9 @@ def smoke_copy(tmp_path, old, new):
         "coset-seed-negative",
         "workers-zero",
         "workers-negative",
+        "grid-angles-unsorted",
+        "grid-angle-beyond-90",
+        "source-section-not-integer",
     ],
 )
 def test_cli_bad_value_exits_2(tmp_path, capsys, old, new):
@@ -434,19 +440,41 @@ FUZZ_TOKENS = st.one_of(
 )
 
 
+# an explicit grid, so that single angles can be fuzzed
+EXPLICIT_ANGLES = ["-30", "0", "30"]
+EXPLICIT_TEXT = SMOKE.read_text().replace(
+    "q = 15\nmode = inverse-sin", "q = 3\nmode = explicit\nangles_deg = {}"
+)
+
+
+def certify_exits_cleanly(text):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.scenario"
+        path.write_text(text)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["certify", str(path)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
 @given(line=st.sampled_from(SMOKE_VALUES), token=FUZZ_TOKENS)
 def test_cli_certify_fuzzed_smoke_value_exits_cleanly(line, token):
     lines = list(SMOKE_LINES)
     lines[line] = lines[line].split(" = ", 1)[0] + " = " + token
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fuzz.scenario"
-        path.write_text("\n".join(lines) + "\n")
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["certify", str(path)])
-    assert code in (0, 2, 3)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+    certify_exits_cleanly("\n".join(lines) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, len(EXPLICIT_ANGLES) - 1),
+    token=st.one_of(FUZZ_TOKENS, st.sampled_from(["95", "-95", "90", "-90", "neighbour"])),
+)
+def test_cli_certify_fuzzed_explicit_angle_exits_cleanly(index, token):
+    angles = list(EXPLICIT_ANGLES)
+    angles[index] = angles[index - 1] if token == "neighbour" else token
+    certify_exits_cleanly(EXPLICIT_TEXT.format(" ".join(angles)))
 
 
 def test_cli_zero_workers_from_environment_exits_2(tmp_path, capsys, monkeypatch):
@@ -492,6 +520,8 @@ ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
         (ROWS, "m_t = 5\nrows = 0 1 2 3 8\n", 2, "coset rows must lie in [0, 7]"),
         (ROWS, "m_t = 5\nrows = 0 1 2 3 3\n", 2, "coset rows must be distinct"),
         (ROWS, "m_t = 9\n", 2, "m_t = 9 exceeds n_t = 8"),
+        # every antenna pair sees the same phase, so the Khatri-Rao rank is 1
+        ("spacing = 0.5", "spacing = 1e-300", 3, "kr-rank"),
     ],
     ids=[
         "band-0.1pi",
@@ -502,6 +532,7 @@ ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
         "row-out-of-range",
         "row-repeated",
         "m_t-above-n_t",
+        "spacing-1e-300",
     ],
 )
 def test_cli_commands_agree_before_simulating(
@@ -535,6 +566,39 @@ def test_cli_override_out_of_range_exits_2(
     assert "configuration error" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("run", "{smoke}", "--output-dir", "{file}"),
+        ("sweep", "{smoke}", "--param", "n_blocks", "--values", "50", "--output-dir", "{file}"),
+        ("run", "{smoke}", "--output-dir", "{file}/o"),
+        ("certify", "{not_utf8}"),
+        ("run", "{nul_output_dir}"),
+    ],
+    ids=[
+        "run-output-dir-is-file",
+        "sweep-output-dir-is-file",
+        "output-dir-under-file",
+        "scenario-not-utf8",
+        "output-dir-nul",
+    ],
+)
+def test_cli_unusable_path_exits_2(tmp_path, capsys, monkeypatch, args):
+    forbid_simulation(monkeypatch)
+    paths = {
+        "smoke": SMOKE,
+        "file": tmp_path / "file",
+        "not_utf8": tmp_path / "bad.scenario",
+        "nul_output_dir": smoke_copy(tmp_path, "output_dir = ", "output_dir = o\0"),
+    }
+    paths["file"].write_text("")
+    paths["not_utf8"].write_bytes(b"\xff\xfe[geometry]\n")
+    assert main([a.format(**paths) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_sweep_m_t_above_n_t_exits_2_before_any_run(tmp_path, capsys, monkeypatch):

@@ -53,6 +53,11 @@ def test_angular_grid_validation():
         AngularGrid(q_count=3, angles=np.array([0.0, 0.1]))
 
 
+def test_angular_grid_rejects_nan_angle():
+    with pytest.raises(ValueError, match="lie in"):
+        AngularGrid(q_count=3, angles=np.array([-0.5, np.nan, 0.5]))
+
+
 def test_array_geometry_validation():
     with pytest.raises(ValueError):
         ArrayGeometry(4, 0.5, (0, 0, 1))
