@@ -102,6 +102,11 @@ def _cmd_certify(args) -> int:
             c = certs[key]
             status = "pass" if c["passed"] else "fail"
             print(f"certificate {c['criterion']}: {status}  witness {c['witness']}")
+    cost = report["cost"]
+    print(
+        f"cost: {cost['complex_normals']:.4g} complex normals drawn, "
+        f"{cost['gram_flops']:.4g} Gram flops"
+    )
     require_gates(report["gates"])
     return EXIT_OK
 

@@ -177,9 +177,10 @@ def nyquist_reference(
     noise_mode: str = "estimate",
 ):
     """Reference estimate with no compression at all: every antenna
-    active, every Nyquist sample kept.  Runs the identical pipeline, so
-    compressed runs can be compared against what full sampling achieves
-    with the same block count and seed."""
+    active, every Nyquist sample kept.  Runs the identical pipeline on
+    the same streams, so a compressed run's blocks are a subset of the
+    ones estimated here, and compressed runs can be compared against what
+    full sampling achieves with the same block count and seed."""
     full = ArrayGeometry(
         n_underlying=n_underlying,
         spacing_d=spacing,

@@ -82,6 +82,7 @@ from .simulate import (
     block_chunks,
     build_coset_pattern,
     dump_chunks,
+    normals_drawn,
 )
 
 WORKERS_ENV = "JAFS_WORKERS"
@@ -176,10 +177,10 @@ def load_scenario(path) -> ScenarioConfig:
     coset_rows = _parse_marks(rows_raw) if rows_raw else None
     coset_seed = _parse_int(coset, "seed") if coset.get("seed") else None
     if marks is None:
-        try:
-            marks = solve_sparse_ruler(n_underlying - 1).marks
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        if n_underlying < 1:
+            raise ConfigError(f"[geometry] n_underlying = {n_underlying} must be >= 1")
+        # one antenna is its own ruler, as build_coset_pattern has it for N_t = 1
+        marks = (0,) if n_underlying == 1 else solve_sparse_ruler(n_underlying - 1).marks
 
     grid_sec = parser["grid"]
     grid_q = _parse_int(grid_sec, "q")
@@ -384,6 +385,20 @@ def resolve(cfg: ScenarioConfig) -> Resolution:
     return Resolution(gates, design, certs)
 
 
+def predicted_cost(cfg: ScenarioConfig) -> dict:
+    """A run's work in closed form, known before any simulation: the
+    complex normals block_chunks draws, and the real flops of the Gram
+    updates, 8 per complex multiply-add of the (M_s*M_t)^2 Gram of every
+    block."""
+    m_s = len(cfg.marks)
+    return {
+        "complex_normals": normals_drawn(
+            len(cfg.sources), m_s, cfg.n_t, cfg.n_blocks, cfg.noise_variance > 0
+        ),
+        "gram_flops": 8 * cfg.n_blocks * (m_s * cfg.m_t) ** 2,
+    }
+
+
 def design_certificates(design: est.Design) -> dict:
     """All design checks: ruler validity, lag-column coverage, both
     rank-condition certificates, and the realized Khatri-Rao rank."""
@@ -509,6 +524,7 @@ def run_scenario(
             "config": _config_echo(cfg),
             "gates": resolved.gates,
             "certificates": resolved.certificates,
+            "cost": predicted_cost(cfg),
             "sigma_n_hat": rec.sigma_n_hat,
             "noise_path": rec.noise_path,
             "residual_norms": [float(r) for r in rec.residual_norms],
@@ -567,13 +583,15 @@ def _timed(items, timings: dict, key: str):
 
 
 def run_certify(cfg: ScenarioConfig) -> dict:
-    """Design checks only, every gate record kept; no simulation,
-    nothing written.  ``certificates`` is None when no design exists."""
+    """Design checks only, every gate record kept, and the predicted cost
+    of a run; no simulation, nothing written.  ``certificates`` is None
+    when no design exists."""
     resolved = resolve(cfg)
     return {
         "config": _config_echo(cfg),
         "gates": resolved.gates,
         "certificates": resolved.certificates,
+        "cost": predicted_cost(cfg),
     }
 
 

@@ -9,18 +9,22 @@ antenna rows, temporal compression keeps the multi-coset sample columns.
 block_chunks is the one simulation path.  It generates blocks in fixed
 chunks of _CHUNK_SAMPLES time samples (whole blocks) and computes only
 the kept rows and columns: each source's FIR outputs at the coset
-columns, steered onto the active antennas, plus the noise draws at those
-positions.  Memory is therefore set by the chunk size, not by N_n.
-compressed_blocks and ula_snapshots (nothing compressed away) gather
-all chunks into one array; scenario runs fold them into a running Gram
-instead (estimate.accumulate_gram), and dump_chunks streams them to a
-file on the way.
+columns, steered onto the active antennas, plus the active antennas'
+noise at those columns.  Memory is therefore set by the chunk size, not
+by N_n.  compressed_blocks and ula_snapshots (nothing compressed away)
+gather all chunks into one array; scenario runs fold them into a running
+Gram instead (estimate.accumulate_gram), and dump_chunks streams them to
+a file on the way.
 
-Seeding gives every source its own named stream, plus one for the
-additive noise and one for the random extra coset rows.  Streams are
-consumed in a fixed order independent of the block count and of the
-compression, and the last chunk is computed at full size before it is
-cut, so enlarging N_n appends blocks and leaves every earlier one
+Seeding gives every source its own named stream, every antenna of the
+underlying ULA its own noise stream keyed by its mark, and one stream to
+the random extra coset rows.  Only the active antennas' noise streams are
+drawn, N_t values per block in time order, so an antenna's noise does not
+depend on which other antennas are active: the compressed blocks are an
+exact subset of the full array's for the same seed.  Every stream is
+consumed in time order, independent of the block count, the chunk size
+and the compression, and the last chunk is computed at full size before
+it is cut, so enlarging N_n appends blocks and leaves every earlier one
 bit-identical.
 """
 
@@ -129,8 +133,10 @@ def source_rng(master_seed: int, source_index: int) -> np.random.Generator:
     return _stream(master_seed, _STREAM_SOURCE, source_index)
 
 
-def noise_rng(master_seed: int) -> np.random.Generator:
-    return _stream(master_seed, _STREAM_NOISE)
+def noise_rng(master_seed: int, mark: int = 0) -> np.random.Generator:
+    """The additive noise of the antenna at ``mark`` on the underlying
+    ULA: N_t circular complex normals per block, in time order."""
+    return _stream(master_seed, _STREAM_NOISE, mark)
 
 
 def band_resolvable(band: tuple, n_taps: int) -> bool:
@@ -234,24 +240,28 @@ def block_chunks(
     Block n holds the ULA samples n*N_t .. (n+1)*N_t - 1.  Source k
     contributes steering_vector(theta_k) times its FIR-filtered white
     sequence; noise is i.i.d. circular complex Gaussian per antenna and
-    time sample.  Every stream is drawn in one fixed order (time, then
-    antenna for the noise) for all N_t*N_s Nyquist samples, and only the
-    kept ones are computed further.  The last chunk is computed at full
-    size and cut, so a block's value never depends on N_n: the blocks of
-    a shorter run are a bit-exact prefix of a longer one.  Raises
-    ValueError on non-finite data, chunk by chunk.
+    time sample.  Each source stream and each active antenna's noise
+    stream (noise_rng of its mark) is drawn for all N_t Nyquist samples
+    of a block, in time order, and only the coset columns are computed
+    further.  The last chunk is computed at full size and cut, so a
+    block's value never depends on N_n: the blocks of a shorter run are a
+    bit-exact prefix of a longer one.  Raises ValueError on non-finite
+    data, chunk by chunk.
     """
     if noise_variance < 0:
         raise ValueError("noise variance must be >= 0")
-    n_t, n_s = pattern.n_t, geometry.n_underlying
-    marks, cols = np.asarray(geometry.active_marks), np.asarray(pattern.rows)
+    n_t, m_s, m_t = pattern.n_t, geometry.m_active, pattern.m_t
+    cols = np.asarray(pattern.rows)
     per = chunk_blocks(n_t)
     span = per * n_t
-    # (antenna, column) -> position in one block's (time, antenna) draws
-    noise_index = cols[None, :] * n_s + marks[:, None]
     noise_scale = np.sqrt(noise_variance / 2.0)
-    noise = np.empty((span, n_s), dtype=complex) if noise_variance > 0 else None
-    nrng = noise_rng(master_seed)
+    noise_rngs = (
+        [noise_rng(master_seed, m) for m in geometry.active_marks]
+        if noise_variance > 0
+        else []
+    )
+    # one antenna's draws for a chunk, (blocks, N_t)
+    noise = np.empty((per, n_t), dtype=complex)
     # (M_s, K): one steering column per source
     steer = np.array([steering_vector(s.true_doa, geometry.positions) for s in sources]).T
     # per source: stream, input scale, tap matrix, input window buffer
@@ -265,7 +275,7 @@ def block_chunks(
         )
         for k, spec in enumerate(sources)
     ]
-    filtered = np.empty((len(sources), per, pattern.m_t), dtype=complex)
+    filtered = np.empty((len(sources), per, m_t), dtype=complex)
     done = 0
     while done < n_blocks:
         for k, (rng, scale, taps, white) in enumerate(feeds):
@@ -277,20 +287,35 @@ def block_chunks(
             rng.standard_normal(out=fresh.view(np.float64))
             fresh *= scale
             filtered[k] = _fir_blocks(white, taps, n_t)
-        if noise is None:
-            chunk = np.zeros((per, geometry.m_active, pattern.m_t), dtype=complex)
-        else:
-            nrng.standard_normal(out=noise.view(np.float64))
-            chunk = np.take(noise.reshape(per, n_t * n_s), noise_index, axis=1)
+        if noise_rngs:
+            chunk = np.empty((per, m_s, m_t), dtype=complex)
+            for i, rng in enumerate(noise_rngs):
+                rng.standard_normal(out=noise.view(np.float64))
+                chunk[:, i, :] = noise[:, cols]
             chunk *= noise_scale
+        else:
+            chunk = np.zeros((per, m_s, m_t), dtype=complex)
         if feeds:
-            steered = steer @ filtered.reshape(len(feeds), per * pattern.m_t)
-            chunk += steered.reshape(-1, per, pattern.m_t).transpose(1, 0, 2)
+            steered = steer @ filtered.reshape(len(feeds), per * m_t)
+            chunk += steered.reshape(-1, per, m_t).transpose(1, 0, 2)
         chunk = chunk[: n_blocks - done]
         if not np.isfinite(chunk).all():
             raise ValueError("blocks must be finite")
         done += per
         yield chunk
+
+
+def normals_drawn(
+    n_sources: int, m_active: int, n_t: int, n_blocks: int, noisy: bool
+) -> int:
+    """Complex normals block_chunks draws for N_n blocks: N_t per block
+    for each source and, when ``noisy``, each active antenna, over whole
+    chunks, plus the N_t-1 inputs each source's FIR reads past the last
+    whole chunk."""
+    per = chunk_blocks(n_t)
+    chunks = -(-n_blocks // per)
+    streams = n_sources + (m_active if noisy else 0)
+    return chunks * per * n_t * streams + n_sources * (n_t - 1)
 
 
 def compressed_blocks(

@@ -408,6 +408,10 @@ def smoke_copy(tmp_path, old, new):
         ("q = 15\nmode = inverse-sin", "q = 3\nmode = explicit\nangles_deg = 30 0 -30"),
         ("q = 15\nmode = inverse-sin", "q = 3\nmode = explicit\nangles_deg = -30 0 95"),
         ("[source.1]", "[source.x]"),
+        ("n_underlying = 8\nspacing = 0.5\nmarks = 0 1 2 3 7",
+         "n_underlying = 0\nspacing = 0.5\nmarks = solve"),
+        ("n_underlying = 8\nspacing = 0.5\nmarks = 0 1 2 3 7",
+         "n_underlying = -3\nspacing = 0.5\nmarks = solve"),
     ],
     ids=[
         "seed-abc",
@@ -422,12 +426,30 @@ def smoke_copy(tmp_path, old, new):
         "grid-angles-unsorted",
         "grid-angle-beyond-90",
         "source-section-not-integer",
+        "n-underlying-zero-solved",
+        "n-underlying-negative-solved",
     ],
 )
 def test_cli_bad_value_exits_2(tmp_path, capsys, old, new):
     path = smoke_copy(tmp_path, old, new)
     assert main(["run", str(path), "--output-dir", str(tmp_path / "o")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_underlying", [0, -3])
+def test_solving_marks_without_antennas_names_the_key(tmp_path, capsys, n_underlying):
+    path = smoke_copy(
+        tmp_path, "n_underlying = 8\nspacing = 0.5\nmarks = 0 1 2 3 7",
+        f"n_underlying = {n_underlying}\nspacing = 0.5\nmarks = solve",
+    )
+    assert main(["certify", str(path)]) == 2
+    assert "[geometry] n_underlying" in capsys.readouterr().err
+
+
+def test_one_antenna_solves_to_mark_zero(tmp_path):
+    path = smoke_copy(tmp_path, "n_underlying = 8\nspacing = 0.5\nmarks = 0 1 2 3 7",
+                      "n_underlying = 1\nspacing = 0.5\nmarks = solve")
+    assert load_scenario(path).marks == (0,)
 
 
 SMOKE_LINES = SMOKE.read_text().splitlines()
@@ -698,6 +720,48 @@ def test_run_scenario_resolves_design_once(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, [("rank_report", model), ("pattern_of", scenario)])
     run_scenario(cfg, output_dir=str(tmp_path))
     assert calls == {"rank_report": 1, "pattern_of": 1}
+
+
+def test_predicted_normals_match_the_draws(tmp_path, monkeypatch):
+    # two whole chunks and a cut third one: the draws run to the end of
+    # the last chunk
+    cfg = replace(load_scenario(SMOKE), n_blocks=2 * simulate.chunk_blocks(8) + 7)
+    drawn = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *, out):
+            drawn.append(out.size // 2)
+            return self.rng.standard_normal(out=out)
+
+    for name in ("noise_rng", "source_rng"):
+        orig = getattr(simulate, name)
+        monkeypatch.setattr(
+            simulate, name, lambda *args, _orig=orig: Counting(_orig(*args))
+        )
+    predicted = run_certify(cfg)["cost"]
+    report = run_scenario(cfg, output_dir=str(tmp_path))
+    assert report["cost"] == predicted
+    assert sum(drawn) == predicted["complex_normals"]
+    m_s, m_t = len(cfg.marks), cfg.m_t
+    assert predicted["gram_flops"] == 8 * cfg.n_blocks * (m_s * m_t) ** 2
+    # without noise only the sources draw
+    drawn.clear()
+    quiet = replace(cfg, noise_variance=0.0, noise_mode="known")
+    run_scenario(quiet, output_dir=str(tmp_path))
+    assert sum(drawn) == run_certify(quiet)["cost"]["complex_normals"]
+
+
+def test_cli_certify_prints_the_predicted_cost(capsys):
+    assert main(["certify", str(SMOKE)]) == 0
+    cost = run_certify(load_scenario(SMOKE))["cost"]
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("cost:")]
+    assert lines == [
+        f"cost: {cost['complex_normals']:.4g} complex normals drawn, "
+        f"{cost['gram_flops']:.4g} Gram flops"
+    ]
 
 
 def test_cli_sweep(tmp_path, capsys):

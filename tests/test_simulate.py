@@ -259,6 +259,52 @@ def test_compressed_blocks_are_compressed_snapshots():
     np.testing.assert_allclose(kept.blocks, expect.blocks, rtol=0, atol=1e-12)
 
 
+@st.composite
+def noise_designs(draw):
+    """A random antenna selection and coset pattern on a small array."""
+    n_s = draw(st.integers(1, 9))
+    n_t = draw(st.integers(1, 12))
+    marks = draw(st.sets(st.integers(0, n_s - 1), min_size=1))
+    rows = draw(st.sets(st.integers(0, n_t - 1), min_size=1))
+    return ArrayGeometry(n_s, 0.5, tuple(marks)), CosetPattern(n_t, tuple(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(design=noise_designs(), n_blocks=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_noise_only_blocks_are_exactly_the_full_array_compressed(design, n_blocks, seed):
+    # one noise stream per antenna mark: which other antennas and which
+    # coset columns are kept changes no value bit
+    geo, pattern = design
+    kept = compressed_blocks((), geo, pattern, 2.0, n_blocks, seed)
+    full = ula_snapshots((), geo, 2.0, n_blocks, pattern.n_t, seed)
+    expect = temporal_compress(spatial_compress(full, geo), pattern)
+    np.testing.assert_array_equal(kept.blocks, expect.blocks)
+
+
+def test_shared_mark_has_the_same_noise_in_every_geometry():
+    # mark 3 is row 1 of the first selection and row 2 of the second
+    pattern = CosetPattern(8, (0, 1, 3))
+    a = compressed_blocks((), ArrayGeometry(8, 0.5, (0, 3)), pattern, 1.5, 30, 6)
+    b = compressed_blocks((), ArrayGeometry(12, 0.5, (1, 2, 3, 11)), pattern, 1.5, 30, 6)
+    np.testing.assert_array_equal(a.blocks[:, 1, :], b.blocks[:, 2, :])
+    assert not np.array_equal(a.blocks[:, 0, :], b.blocks[:, 0, :])
+
+
+def test_noise_of_distinct_antennas_is_uncorrelated():
+    # for independent circular noise of variance s2, sqrt(N) times the
+    # normalized lag-0 cross-correlation of two antennas has modulus
+    # Rayleigh(1/sqrt(2)): P(|z| > 5) = exp(-25).  Antennas sharing one
+    # stream would give |z| = sqrt(N).
+    geo = ArrayGeometry(8, 0.5, tuple(range(8)))
+    snaps = ula_snapshots((), geo, 2.0, 500, 8, master_seed=13)
+    x = snaps.blocks.transpose(1, 0, 2).reshape(8, -1)
+    n = x.shape[1]
+    z = np.sqrt(n) * (x @ x.conj().T) / (2.0 * n)
+    off = z[~np.eye(8, dtype=bool)]
+    assert np.abs(off).max() < 5.0
+    assert np.abs(np.diag(z) / np.sqrt(n) - 1.0).max() < 0.1
+
+
 def test_snapshot_power_bookkeeping():
     # per-antenna mean power = sum of source autocorrelations at lag 0
     # plus the noise power (sources and noise are independent)
