@@ -107,6 +107,10 @@ def _cmd_certify(args) -> int:
         f"cost: {cost['complex_normals']:.4g} complex normals drawn, "
         f"{cost['gram_flops']:.4g} Gram flops"
     )
+    print(
+        f"memory: {cost['block_buffer_bytes']:.4g} bytes of simulator buffers, "
+        f"{report['draw_threads']} draw threads"
+    )
     require_gates(report["gates"])
     return EXIT_OK
 

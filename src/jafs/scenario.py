@@ -32,20 +32,23 @@ A scenario file is INI-style text with sections::
     seed = 0
     output_dir = out
     ; peak_threshold = 0.35
-    ; workers = 4            ; also settable via JAFS_WORKERS
+    ; workers = 4            ; draw threads of run and sweep (default: the
+    ;                        ; CPUs available); also settable via JAFS_WORKERS
     ; dump_snapshots = true  ; write compressed blocks next to the CSVs
 
 load_scenario parses; resolve(cfg) judges the values, gates, builds and
 certifies the design for run, certify and sweep alike, before anything is
 simulated: certify reports every gate record, run and sweep stop on the
-first failed hard one.  Hard gates: temporal-overdetermination (M_t**2 >=
-2*N_t - 1, else the lag system is underdetermined); band-resolution (every
-source band at least 2*pi/N_t wide, all the N_t-tap source filters
-resolve); coset-ruler-cardinality (M_t reaches the cardinality of the
-length-(N_t-1) coset ruler when the rows are built from it; recorded only
-when it fails, since then no design exists); lag-coverage (the coset rows
-realize every lag); kr-rank (the Khatri-Rao matrix has rank Q).  M_s**2 >=
-Q is a warning (the angular system is certified anyway); Q <= 2*N_s - 1 is
+first failed hard one.  A sweep runs its jobs one after another; the
+worker count sets the threads that draw each run's random streams.  Hard
+gates: temporal-overdetermination (M_t**2 >= 2*N_t - 1, else the lag
+system is underdetermined); band-resolution (every source band at least
+2*pi/N_t wide, all the N_t-tap source filters resolve);
+coset-ruler-cardinality (M_t reaches the cardinality of the length-(N_t-1)
+coset ruler when the rows are built from it; recorded only when it fails,
+since then no design exists); lag-coverage (the coset rows realize every
+lag); kr-rank (the Khatri-Rao matrix has rank Q).  M_s**2 >= Q is a
+warning (the angular system is certified anyway); Q <= 2*N_s - 1 is
 advisory (more grid angles than the full co-array could ever resolve).
 """
 
@@ -56,7 +59,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, replace as _replace
 from fractions import Fraction
@@ -79,8 +81,10 @@ from .simulate import (
     CosetPattern,
     SourceSpec,
     band_resolvable,
+    block_buffer_bytes,
     block_chunks,
     build_coset_pattern,
+    draw_threads,
     dump_chunks,
     normals_drawn,
 )
@@ -385,17 +389,28 @@ def resolve(cfg: ScenarioConfig) -> Resolution:
     return Resolution(gates, design, certs)
 
 
+def _draw_threads(cfg: ScenarioConfig) -> int:
+    """Threads block_chunks draws a run's random streams on: the worker
+    count, or the CPUs available, capped at one per source and, with
+    noise, one per active antenna."""
+    noisy_antennas = len(cfg.marks) if cfg.noise_variance > 0 else 0
+    return draw_threads(cfg.workers, len(cfg.sources) + noisy_antennas)
+
+
 def predicted_cost(cfg: ScenarioConfig) -> dict:
-    """A run's work in closed form, known before any simulation: the
-    complex normals block_chunks draws, and the real flops of the Gram
-    updates, 8 per complex multiply-add of the (M_s*M_t)^2 Gram of every
-    block."""
-    m_s = len(cfg.marks)
+    """A run's work and memory in closed form, known before any
+    simulation: the complex normals block_chunks draws, the real flops
+    of the Gram updates (8 per complex multiply-add of the (M_s*M_t)^2
+    Gram of every block), and the peak bytes of the simulator's buffers
+    (simulate.block_buffer_bytes), which do not grow with N_n."""
+    m_s, noisy = len(cfg.marks), cfg.noise_variance > 0
+    n_sources = len(cfg.sources)
     return {
-        "complex_normals": normals_drawn(
-            len(cfg.sources), m_s, cfg.n_t, cfg.n_blocks, cfg.noise_variance > 0
-        ),
+        "complex_normals": normals_drawn(n_sources, m_s, cfg.n_t, cfg.n_blocks, noisy),
         "gram_flops": 8 * cfg.n_blocks * (m_s * cfg.m_t) ** 2,
+        "block_buffer_bytes": block_buffer_bytes(
+            n_sources, m_s, cfg.n_t, cfg.m_t, noisy, _draw_threads(cfg)
+        ),
     }
 
 
@@ -481,12 +496,16 @@ def run_scenario(
     seed: Optional[int] = None,
 ) -> dict:
     """Full pipeline: design, simulate chunk by chunk into a running Gram,
-    solve, export.  No block array is held beyond one chunk.
+    solve, export.  No block array is held beyond the chunks in flight.
 
     Writes spectrum CSVs, the angular marginal, and report.json into the
-    output directory; returns the report.  ``timings["export_s"]`` covers
-    writing the CSVs and assembling the report, not writing report.json,
-    which holds it.  Partial outputs are removed if any stage fails.
+    output directory; returns the report.  The random streams are drawn
+    one chunk ahead on ``draw_threads`` threads, so
+    ``timings["simulate_s"]`` is the run's wait on the simulator: the
+    FIRs, the steering and any draw not yet done.  ``timings["export_s"]``
+    covers writing the CSVs and assembling the report, not writing
+    report.json, which holds it.  Partial outputs are removed if any
+    stage fails.
     """
     if seed is not None:
         cfg = _replace(cfg, master_seed=seed)
@@ -525,6 +544,7 @@ def run_scenario(
             "gates": resolved.gates,
             "certificates": resolved.certificates,
             "cost": predicted_cost(cfg),
+            "draw_threads": _draw_threads(cfg),
             "sigma_n_hat": rec.sigma_n_hat,
             "noise_path": rec.noise_path,
             "residual_norms": [float(r) for r in rec.residual_norms],
@@ -558,7 +578,7 @@ def _output_dir(cfg: ScenarioConfig, override: Optional[str]) -> Path:
 
 def _simulated_chunks(cfg: ScenarioConfig, design: est.Design):
     """The configuration's simulated data, as the design samples it, in
-    chunks of blocks."""
+    chunks of blocks drawn on the configured worker count."""
     return block_chunks(
         cfg.sources,
         design.geometry,
@@ -566,6 +586,7 @@ def _simulated_chunks(cfg: ScenarioConfig, design: est.Design):
         cfg.noise_variance,
         cfg.n_blocks,
         cfg.master_seed,
+        cfg.workers,
     )
 
 
@@ -584,14 +605,15 @@ def _timed(items, timings: dict, key: str):
 
 def run_certify(cfg: ScenarioConfig) -> dict:
     """Design checks only, every gate record kept, and the predicted cost
-    of a run; no simulation, nothing written.  ``certificates`` is None
-    when no design exists."""
+    of a run with its draw threads; no simulation, nothing written.
+    ``certificates`` is None when no design exists."""
     resolved = resolve(cfg)
     return {
         "config": _config_echo(cfg),
         "gates": resolved.gates,
         "certificates": resolved.certificates,
         "cost": predicted_cost(cfg),
+        "draw_threads": _draw_threads(cfg),
     }
 
 
@@ -610,8 +632,8 @@ def run_sweep(
     is undefined), the noise-power error, and the fraction of true
     sources matched by a detection within one grid cell.  Every run's
     design is resolved, and its gates required, before any run starts;
-    runs then execute, in job order, on a thread pool of the config's
-    worker count (one when unset).
+    runs then execute one after another, in job order, each drawing its
+    streams on the config's worker count (see block_chunks).
     """
     if param not in ("n_blocks", "m_t"):
         raise ConfigError(f"sweep parameter must be n_blocks or m_t, got {param!r}")
@@ -624,13 +646,9 @@ def run_sweep(
             require_gates(resolved.gates)
             jobs.append((value, seed, sub, resolved.design))
     out = _output_dir(cfg, output_dir)
-
-    def one(job):
-        value, seed, sub, design = job
-        return (value, seed) + _sweep_metrics(sub, design)
-
-    with ThreadPoolExecutor(max_workers=cfg.workers or 1) as pool:
-        results = list(pool.map(one, jobs))
+    results = [
+        (value, seed) + _sweep_metrics(sub, design) for value, seed, sub, design in jobs
+    ]
 
     path = out / "sweep.csv"
     rows = [["param", "value", "seed", "rs_rel_error", "sigma_rel_error", "detection_rate"]]
@@ -641,7 +659,8 @@ def run_sweep(
 
 def _sweep_metrics(cfg: ScenarioConfig, design: est.Design):
     grid = design.grid
-    gram, n_blocks = est.accumulate_gram(_simulated_chunks(cfg, design))
+    with closing(_simulated_chunks(cfg, design)) as chunks:
+        gram, n_blocks = est.accumulate_gram(chunks)
     rec, spec = est.spectrum_from_gram(
         design, gram, n_blocks, cfg.noise_mode, cfg.noise_variance
     )

@@ -10,11 +10,14 @@ block_chunks is the one simulation path.  It generates blocks in fixed
 chunks of _CHUNK_SAMPLES time samples (whole blocks) and computes only
 the kept rows and columns: each source's FIR outputs at the coset
 columns, steered onto the active antennas, plus the active antennas'
-noise at those columns.  Memory is therefore set by the chunk size, not
-by N_n.  compressed_blocks and ula_snapshots (nothing compressed away)
-gather all chunks into one array; scenario runs fold them into a running
-Gram instead (estimate.accumulate_gram), and dump_chunks streams them to
-a file on the way.
+noise at those columns.  The random streams are drawn on a small thread
+pool one chunk ahead, while the calling thread filters, steers and hands
+out the current chunk.  Memory is therefore set by two chunks, not by
+N_n; block_buffer_bytes gives it in closed form.  compressed_blocks and
+ula_snapshots (nothing compressed away) gather all chunks into one
+array; scenario runs fold them into a running Gram instead
+(estimate.accumulate_gram), and dump_chunks streams them to a file on
+the way.
 
 Seeding gives every source its own named stream, every antenna of the
 underlying ULA its own noise stream keyed by its mark, and one stream to
@@ -32,8 +35,10 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,6 +56,9 @@ _STREAM_COSET = 3
 _CHUNK_SAMPLES = 1 << 14
 
 _SNAP_MAGIC = b"JAFSSNAP"
+
+# name prefix of block_chunks' draw threads
+DRAW_THREAD_PREFIX = "jafs-draw"
 
 
 class CosetCardinalityError(ValueError):
@@ -225,6 +233,19 @@ def chunk_blocks(n_t: int) -> int:
     return max(1, _CHUNK_SAMPLES // n_t)
 
 
+def draw_threads(workers: Optional[int], n_streams: int) -> int:
+    """Threads of block_chunks' draw pool: ``workers``, or the CPUs this
+    process may run on when it is None, capped at the number of random
+    streams drawn (one per source and, with noise, one per active
+    antenna), and at least one."""
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
+    return max(1, min(workers, n_streams))
+
+
 def block_chunks(
     sources: Sequence[SourceSpec],
     geometry: ArrayGeometry,
@@ -232,6 +253,7 @@ def block_chunks(
     noise_variance: float,
     n_blocks: int,
     master_seed: int,
+    workers: Optional[int] = None,
 ) -> Iterator[np.ndarray]:
     """The one simulator: N_n blocks as the sampler sees them, in chunks
     of chunk_blocks(N_t) blocks, each a fresh (blocks, M_s, M_t) array of
@@ -247,6 +269,16 @@ def block_chunks(
     block's value never depends on N_n: the blocks of a shorter run are a
     bit-exact prefix of a longer one.  Raises ValueError on non-finite
     data, chunk by chunk.
+
+    The streams are drawn on a pool of draw_threads(workers, streams)
+    threads, one chunk ahead of the caller: while chunk n is filtered,
+    steered and consumed, chunk n+1's noise is drawn into its rows and
+    each source's next inputs into its buffer.  A stream is drawn by one
+    task at a time, in time order, so the blocks do not depend on the
+    thread count; nothing is drawn past the last chunk.  The FIRs and
+    the steering (all BLAS work) run on the calling thread.  Closing the
+    generator, or a failed draw, shuts the pool down after its running
+    tasks end.
     """
     if noise_variance < 0:
         raise ValueError("noise variance must be >= 0")
@@ -254,14 +286,15 @@ def block_chunks(
     cols = np.asarray(pattern.rows)
     per = chunk_blocks(n_t)
     span = per * n_t
+    n_chunks = -(-n_blocks // per)
+    if n_chunks < 1:
+        return
     noise_scale = np.sqrt(noise_variance / 2.0)
     noise_rngs = (
         [noise_rng(master_seed, m) for m in geometry.active_marks]
         if noise_variance > 0
         else []
     )
-    # one antenna's draws for a chunk, (blocks, N_t)
-    noise = np.empty((per, n_t), dtype=complex)
     # (M_s, K): one steering column per source
     steer = np.array([steering_vector(s.true_doa, geometry.positions) for s in sources]).T
     # per source: stream, input scale, tap matrix, input window buffer
@@ -276,33 +309,70 @@ def block_chunks(
         for k, spec in enumerate(sources)
     ]
     filtered = np.empty((len(sources), per, m_t), dtype=complex)
-    done = 0
-    while done < n_blocks:
-        for k, (rng, scale, taps, white) in enumerate(feeds):
-            if done:
-                white[: n_t - 1] = white[span:]
-                fresh = white[n_t - 1 :]
-            else:
-                fresh = white
-            rng.standard_normal(out=fresh.view(np.float64))
-            fresh *= scale
-            filtered[k] = _fir_blocks(white, taps, n_t)
-        if noise_rngs:
-            chunk = np.empty((per, m_s, m_t), dtype=complex)
-            for i, rng in enumerate(noise_rngs):
-                rng.standard_normal(out=noise.view(np.float64))
-                chunk[:, i, :] = noise[:, cols]
-            chunk *= noise_scale
+    # each draw thread's (blocks, N_t) buffer for one antenna's noise
+    local = threading.local()
+
+    def draw_noise(chunk, i, rng):
+        noise = getattr(local, "noise", None)
+        if noise is None:
+            noise = local.noise = np.empty((per, n_t), dtype=complex)
+        rng.standard_normal(out=noise.view(np.float64))
+        row = chunk[:, i, :]
+        # mode="clip" writes straight into the row; "raise" buffers out
+        np.take(noise, cols, axis=1, out=row, mode="clip")
+        row *= noise_scale
+
+    def draw_source(rng, scale, white, first):
+        if first:
+            fresh = white
         else:
-            chunk = np.zeros((per, m_s, m_t), dtype=complex)
-        if feeds:
-            steered = steer @ filtered.reshape(len(feeds), per * m_t)
-            chunk += steered.reshape(-1, per, m_t).transpose(1, 0, 2)
-        chunk = chunk[: n_blocks - done]
-        if not np.isfinite(chunk).all():
-            raise ValueError("blocks must be finite")
-        done += per
-        yield chunk
+            white[: n_t - 1] = white[span:]
+            fresh = white[n_t - 1 :]
+        rng.standard_normal(out=fresh.view(np.float64))
+        fresh *= scale
+
+    def start_chunk():
+        if not noise_rngs:
+            return np.zeros((per, m_s, m_t), dtype=complex), []
+        chunk = np.empty((per, m_s, m_t), dtype=complex)
+        return chunk, [
+            pool.submit(draw_noise, chunk, i, rng) for i, rng in enumerate(noise_rngs)
+        ]
+
+    pool = ThreadPoolExecutor(
+        draw_threads(workers, len(feeds) + len(noise_rngs)),
+        thread_name_prefix=DRAW_THREAD_PREFIX,
+    )
+    try:
+        chunk, noise_tasks = start_chunk()
+        source_tasks = [
+            pool.submit(draw_source, rng, scale, white, True)
+            for rng, scale, _, white in feeds
+        ]
+        for n in range(n_chunks):
+            for task in noise_tasks:
+                task.result()
+            ahead = n + 1 < n_chunks
+            if ahead:
+                next_chunk, noise_tasks = start_chunk()
+            for k, (rng, scale, taps, white) in enumerate(feeds):
+                source_tasks[k].result()
+                filtered[k] = _fir_blocks(white, taps, n_t)
+                if ahead:
+                    source_tasks[k] = pool.submit(draw_source, rng, scale, white, False)
+            if feeds:
+                steered = steer @ filtered.reshape(len(feeds), per * m_t)
+                chunk += steered.reshape(-1, per, m_t).transpose(1, 0, 2)
+                # not held across the yield
+                del steered
+            chunk = chunk[: n_blocks - n * per]
+            if not np.isfinite(chunk).all():
+                raise ValueError("blocks must be finite")
+            yield chunk
+            if ahead:
+                chunk = next_chunk
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def normals_drawn(
@@ -316,6 +386,32 @@ def normals_drawn(
     chunks = -(-n_blocks // per)
     streams = n_sources + (m_active if noisy else 0)
     return chunks * per * n_t * streams + n_sources * (n_t - 1)
+
+
+def block_buffer_bytes(
+    n_sources: int, m_active: int, n_t: int, m_t: int, noisy: bool, threads: int
+) -> int:
+    """Peak bytes of block_chunks' arrays, one chunk in flight, with a
+    caller that holds one chunk while the next is made (as
+    estimate.accumulate_gram does); independent of N_n.
+
+    Three (blocks, M_s, M_t) chunks: the caller's, the one being
+    finished and the one whose noise is drawn ahead.  Per source: its
+    input buffer of one chunk plus N_t-1 samples, its (2N_t-1, M_t) tap
+    matrix and its filtered (blocks, M_t) outputs.  Per draw thread that
+    draws noise: a (blocks, N_t) buffer.  The steering matrix.  Plus the
+    larger of the two temporaries on the calling thread: a FIR's
+    (blocks, 2N_t-1) windows and (blocks, M_t) product, or the steered
+    (M_s, blocks*M_t) product.
+    """
+    per = chunk_blocks(n_t)
+    chunk = 16 * per * m_active * m_t
+    per_source = 16 * ((per + 1) * n_t - 1 + (2 * n_t - 1) * m_t + per * m_t)
+    noise = 16 * per * n_t * min(threads, m_active) if noisy else 0
+    # without sources the largest temporary is np.isfinite's mask
+    temporary = max(16 * per * (2 * n_t - 1 + m_t), chunk) if n_sources else chunk // 16
+    steer = 16 * m_active * n_sources
+    return 3 * chunk + n_sources * per_source + noise + steer + temporary
 
 
 def compressed_blocks(

@@ -22,6 +22,7 @@ from jafs.scenario import (
     DesignGateError,
     check_gates,
     load_scenario,
+    predicted_cost,
     require_gates,
     resolve,
     run_certify,
@@ -310,6 +311,31 @@ def test_run_scenario_memory_flat_in_block_count(tmp_path):
     assert peaks[200_000] <= 1.5 * peaks[20_000], peaks
 
 
+def test_simulator_memory_is_flat_and_within_the_prediction():
+    # block_chunks holds three chunks at most (the caller's, the one being
+    # finished, the one drawn ahead), whatever the block count; the Gram
+    # adds its own temporaries: a conjugated chunk and two D x D matrices
+    cfg = replace(load_scenario(SMOKE), workers=2)
+    per = simulate.chunk_blocks(cfg.n_t)
+    d = len(cfg.marks) * cfg.m_t
+    chunk_bytes = 16 * per * d
+    gram_temporaries = chunk_bytes + 2 * 16 * d * d
+    peaks = {}
+    for n_chunks in (2, 16):
+        sub = replace(cfg, n_blocks=n_chunks * per)
+        predicted = predicted_cost(sub)["block_buffer_bytes"]
+        chunks = scenario._simulated_chunks(sub, resolve(sub).design)
+        tracemalloc.start()
+        try:
+            estimate.accumulate_gram(chunks)
+            peaks[n_chunks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[n_chunks] <= predicted + gram_temporaries, (n_chunks, peaks)
+    # an eightfold N_n adds at most the chunk in flight and draw buffers
+    assert peaks[16] - peaks[2] < 2 * chunk_bytes, peaks
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -325,6 +351,22 @@ def test_sweep_rows_and_determinism(tmp_path):
         cfg, "n_blocks", [100], [0, 1, 2], output_dir=str(tmp_path / "s2")
     )
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_sweep_csv_does_not_depend_on_the_worker_count(tmp_path):
+    per = simulate.chunk_blocks(8)
+    values = [per - 48, per + 52]
+    paths = [
+        run_sweep(
+            replace(load_scenario(SMOKE), workers=workers),
+            "n_blocks",
+            values,
+            [0, 1],
+            output_dir=str(tmp_path / str(workers)),
+        )
+        for workers in (1, 2)
+    ]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_sweep_empty_values_header_only(tmp_path):
@@ -762,6 +804,31 @@ def test_cli_certify_prints_the_predicted_cost(capsys):
         f"cost: {cost['complex_normals']:.4g} complex normals drawn, "
         f"{cost['gram_flops']:.4g} Gram flops"
     ]
+
+
+def test_cli_certify_prints_the_simulator_memory(capsys):
+    cfg = replace(load_scenario(SMOKE), workers=3)
+    report = run_certify(cfg)
+    assert report["draw_threads"] == 3
+    per = simulate.chunk_blocks(cfg.n_t)
+    chunk_bytes = 16 * per * len(cfg.marks) * cfg.m_t
+    assert report["cost"]["block_buffer_bytes"] > 3 * chunk_bytes
+    assert main(["certify", str(SMOKE)]) == 0
+    plain = run_certify(load_scenario(SMOKE))
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("memory:")]
+    assert lines == [
+        f"memory: {plain['cost']['block_buffer_bytes']:.4g} bytes of simulator buffers, "
+        f"{plain['draw_threads']} draw threads"
+    ]
+
+
+def test_run_report_records_the_draw_threads(tmp_path):
+    cfg = replace(load_scenario(SMOKE), workers=2, n_blocks=300)
+    report = run_scenario(cfg, output_dir=str(tmp_path))
+    assert report["draw_threads"] == 2
+    on_disk = json.loads((tmp_path / "report.json").read_text())
+    assert on_disk["draw_threads"] == 2
+    assert on_disk["cost"] == run_certify(cfg)["cost"]
 
 
 def test_cli_sweep(tmp_path, capsys):

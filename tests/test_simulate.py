@@ -1,18 +1,26 @@
 """Source synthesis, array snapshots, compression, and snapshot I/O."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from jafs import simulate
 from jafs.model import ArrayGeometry
 from jafs.simulate import (
+    DRAW_THREAD_PREFIX,
     CosetPattern,
     SnapshotBlocks,
     SourceSpec,
+    block_chunks,
     build_coset_pattern,
     chunk_blocks,
     compressed_blocks,
     design_bandpass,
+    draw_threads,
     noise_rng,
     read_snapshots,
     source_rng,
@@ -244,6 +252,119 @@ def test_prefix_exact_across_chunk_boundaries(n_short, extra):
         short, long = simulate(n_short), simulate(n_long)
         assert long.n_blocks == n_long
         np.testing.assert_array_equal(long.blocks[:n_short], short.blocks)
+
+
+def draw_pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith(DRAW_THREAD_PREFIX)]
+
+
+def prefix_chunks(sources, noise_variance, n_blocks, workers):
+    pattern = CosetPattern(PREFIX_N_T, (0, 1, 5, 17, 40, 63))
+    return list(
+        block_chunks(sources, small_geometry(), pattern, noise_variance, n_blocks, 3, workers)
+    )
+
+
+@pytest.mark.parametrize(
+    "sources, noise_variance, n_blocks",
+    [
+        (PREFIX_SOURCES, 2.0, 3 * PREFIX_CHUNK + 5),
+        (PREFIX_SOURCES, 0.0, 2 * PREFIX_CHUNK + 1),
+        ((), 2.0, 2 * PREFIX_CHUNK + 1),
+        (PREFIX_SOURCES, 2.0, PREFIX_CHUNK - 1),
+        (PREFIX_SOURCES, 2.0, 2 * PREFIX_CHUNK),
+    ],
+    ids=["noisy", "noise-free", "no-sources", "below-one-chunk", "exact-multiple"],
+)
+def test_chunks_do_not_depend_on_the_draw_threads(sources, noise_variance, n_blocks):
+    # each stream is drawn by one task at a time, in time order; three
+    # threads on a short switch interval make a race likelier to show
+    one = prefix_chunks(sources, noise_variance, n_blocks, 1)
+    assert sum(len(c) for c in one) == n_blocks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (2, 3):
+            many = prefix_chunks(sources, noise_variance, n_blocks, workers)
+            assert len(many) == len(one)
+            for a, b in zip(one, many):
+                np.testing.assert_array_equal(a, b)
+    finally:
+        sys.setswitchinterval(interval)
+    assert draw_pool_threads() == []
+
+
+def test_draws_run_on_the_pool_and_filters_on_the_caller(monkeypatch):
+    draw_threads_seen, fir_threads = set(), set()
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *, out):
+            draw_threads_seen.add(threading.current_thread().name)
+            return self.rng.standard_normal(out=out)
+
+    for name in ("noise_rng", "source_rng"):
+        orig = getattr(simulate, name)
+        monkeypatch.setattr(simulate, name, lambda *a, _orig=orig: Recording(_orig(*a)))
+    orig_fir = simulate._fir_blocks
+
+    def recording_fir(*args):
+        fir_threads.add(threading.current_thread())
+        return orig_fir(*args)
+
+    monkeypatch.setattr(simulate, "_fir_blocks", recording_fir)
+    prefix_chunks(PREFIX_SOURCES, 2.0, 3 * PREFIX_CHUNK, 2)
+    assert draw_threads_seen and all(
+        name.startswith(DRAW_THREAD_PREFIX) for name in draw_threads_seen
+    )
+    assert fir_threads == {threading.current_thread()}
+
+
+def test_closing_the_generator_stops_the_draw_threads():
+    pattern = CosetPattern(PREFIX_N_T, (0, 1, 5, 17, 40, 63))
+    chunks = block_chunks(
+        PREFIX_SOURCES, small_geometry(), pattern, 2.0, 5 * PREFIX_CHUNK, 3, 3
+    )
+    next(chunks)
+    assert draw_pool_threads()
+    chunks.close()
+    assert draw_pool_threads() == []
+
+
+@pytest.mark.parametrize("stream, n_streams", [("noise_rng", 5), ("source_rng", 2)])
+def test_failed_draw_is_raised_and_stops_the_draw_threads(monkeypatch, stream, n_streams):
+    calls = []
+
+    class FailsInSecondChunk:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *, out):
+            calls.append(1)
+            if len(calls) == n_streams + 1:
+                raise RuntimeError("stream failed")
+            return self.rng.standard_normal(out=out)
+
+    orig = getattr(simulate, stream)
+    monkeypatch.setattr(simulate, stream, lambda *a: FailsInSecondChunk(orig(*a)))
+    pattern = CosetPattern(PREFIX_N_T, (0, 1, 5, 17, 40, 63))
+    chunks = block_chunks(
+        PREFIX_SOURCES, small_geometry(), pattern, 2.0, 4 * PREFIX_CHUNK, 3, 3
+    )
+    next(chunks)
+    with pytest.raises(RuntimeError, match="stream failed"):
+        next(chunks)
+    assert draw_pool_threads() == []
+
+
+def test_draw_thread_count_is_capped_by_the_streams():
+    # a pure function: no thread is started to answer it
+    assert draw_threads(10**6, 22) == 22
+    assert draw_threads(2, 22) == 2
+    assert draw_threads(3, 0) == 1
+    assert draw_threads(None, 10**6) == len(os.sched_getaffinity(0))
 
 
 def test_compressed_blocks_are_compressed_snapshots():
