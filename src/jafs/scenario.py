@@ -40,9 +40,12 @@ load_scenario parses; resolve(cfg) judges the values, gates, builds and
 certifies the design for run, certify and sweep alike, before anything is
 simulated: certify reports every gate record, run and sweep stop on the
 first failed hard one.  A sweep runs its jobs one after another; the
-worker count sets the threads that draw each run's random streams.  Hard
-gates: temporal-overdetermination (M_t**2 >= 2*N_t - 1, else the lag
-system is underdetermined); band-resolution (every source band at least
+worker count sets the threads that draw each run's random streams, and
+each run folds its chunks into its Gram on one BLAS thread.  resolve
+refuses, as a bad value, a run whose predicted work exceeds
+MAX_COMPLEX_NORMALS or MAX_GRAM_FLOPS.  Hard gates:
+temporal-overdetermination (M_t**2 >= 2*N_t - 1, else the lag system is
+underdetermined); band-resolution (every source band at least
 2*pi/N_t wide, all the N_t-tap source filters resolve);
 coset-ruler-cardinality (M_t reaches the cardinality of the length-(N_t-1)
 coset ruler when the rows are built from it; recorded only when it fails,
@@ -87,9 +90,14 @@ from .simulate import (
     draw_threads,
     dump_chunks,
     normals_drawn,
+    one_blas_thread,
 )
 
 WORKERS_ENV = "JAFS_WORKERS"
+
+# the most work resolve admits in one run, about 10^5 flagship runs
+MAX_COMPLEX_NORMALS = 10 ** 12
+MAX_GRAM_FLOPS = 10 ** 15
 
 
 class ConfigError(ValueError):
@@ -357,7 +365,9 @@ def resolve(cfg: ScenarioConfig) -> Resolution:
     """Judge the values, then gate, build and certify the design: the one
     front door of run, certify and sweep.  Failed gates are recorded, not
     raised; a value out of range, however it was set, and a configuration
-    that describes no geometry, grid or coset pattern raise ConfigError."""
+    that describes no geometry, grid or coset pattern raise ConfigError,
+    and so does one whose predicted_cost exceeds MAX_COMPLEX_NORMALS or
+    MAX_GRAM_FLOPS."""
     for name, value, least in (
         ("[run] seed", cfg.master_seed, 0),
         ("[coset] seed", cfg.coset_seed, 0),
@@ -374,6 +384,14 @@ def resolve(cfg: ScenarioConfig) -> Resolution:
         return Resolution(check_gates(cfg) + [gate], None, None)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    cost = predicted_cost(cfg)
+    if cost["complex_normals"] > MAX_COMPLEX_NORMALS or cost["gram_flops"] > MAX_GRAM_FLOPS:
+        raise ConfigError(
+            f"[run] n_blocks = {cfg.n_blocks} is too much work: "
+            f"{cost['complex_normals']:.4g} complex normals drawn and "
+            f"{cost['gram_flops']:.4g} Gram flops, against limits of "
+            f"{MAX_COMPLEX_NORMALS:.0e} normals and {MAX_GRAM_FLOPS:.0e} flops"
+        )
     gates = check_gates(cfg)
     design = est.Design(*parts)
     certs = design_certificates(design)
@@ -500,11 +518,13 @@ def run_scenario(
 
     Writes spectrum CSVs, the angular marginal, and report.json into the
     output directory; returns the report.  The random streams are drawn
-    one chunk ahead on ``draw_threads`` threads, so
-    ``timings["simulate_s"]`` is the run's wait on the simulator: the
-    FIRs, the steering and any draw not yet done.  ``timings["export_s"]``
-    covers writing the CSVs and assembling the report, not writing
-    report.json, which holds it.  Partial outputs are removed if any
+    one chunk ahead on ``draw_threads`` threads, while the calling thread
+    runs the FIRs, the steering and the Gram updates on ``blas_threads``
+    BLAS threads (one_blas_thread: 1, or None when numpy's BLAS cannot
+    be limited), so ``timings["simulate_s"]`` is the run's wait on the
+    simulator: the FIRs, the steering and any draw not yet done.
+    ``timings["export_s"]`` covers writing the CSVs and assembling the
+    report, not writing report.json, which holds it.  Partial outputs are removed if any
     stage fails.
     """
     if seed is not None:
@@ -526,7 +546,7 @@ def run_scenario(
         timings["simulate_s"] = 0.0
         t0 = time.perf_counter()
         # closing ends the stream, and with it any open dump, on failure
-        with closing(chunks):
+        with one_blas_thread() as blas_threads, closing(chunks):
             gram, n_blocks = est.accumulate_gram(_timed(chunks, timings, "simulate_s"))
         timings["gram_s"] = time.perf_counter() - t0 - timings["simulate_s"]
 
@@ -545,6 +565,7 @@ def run_scenario(
             "certificates": resolved.certificates,
             "cost": predicted_cost(cfg),
             "draw_threads": _draw_threads(cfg),
+            "blas_threads": blas_threads,
             "sigma_n_hat": rec.sigma_n_hat,
             "noise_path": rec.noise_path,
             "residual_norms": [float(r) for r in rec.residual_norms],
@@ -633,7 +654,8 @@ def run_sweep(
     sources matched by a detection within one grid cell.  Every run's
     design is resolved, and its gates required, before any run starts;
     runs then execute one after another, in job order, each drawing its
-    streams on the config's worker count (see block_chunks).
+    streams on the config's worker count (see block_chunks) and folding
+    them into its Gram on one BLAS thread (one_blas_thread).
     """
     if param not in ("n_blocks", "m_t"):
         raise ConfigError(f"sweep parameter must be n_blocks or m_t, got {param!r}")
@@ -659,7 +681,7 @@ def run_sweep(
 
 def _sweep_metrics(cfg: ScenarioConfig, design: est.Design):
     grid = design.grid
-    with closing(_simulated_chunks(cfg, design)) as chunks:
+    with one_blas_thread(), closing(_simulated_chunks(cfg, design)) as chunks:
         gram, n_blocks = est.accumulate_gram(chunks)
     rec, spec = est.spectrum_from_gram(
         design, gram, n_blocks, cfg.noise_mode, cfg.noise_variance

@@ -17,7 +17,9 @@ N_n; block_buffer_bytes gives it in closed form.  compressed_blocks and
 ula_snapshots (nothing compressed away) gather all chunks into one
 array; scenario runs fold them into a running Gram instead
 (estimate.accumulate_gram), and dump_chunks streams them to a file on
-the way.
+the way.  A run folds under one_blas_thread: the calling thread's FIRs,
+steering and Gram updates run on one BLAS thread, and the draw pool
+holds the other CPUs.
 
 Seeding gives every source its own named stream, every antenna of the
 underlying ULA its own noise stream keyed by its mark, and one stream to
@@ -33,10 +35,13 @@ bit-identical.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -196,12 +201,18 @@ def _tap_matrix(taps: np.ndarray, columns: Sequence[int], n_t: int) -> np.ndarra
 
 
 def _fir_blocks(white: np.ndarray, tap_matrix: np.ndarray, n_t: int) -> np.ndarray:
-    """FIR outputs of every whole block of ``white``: one window per block
-    (stride N_t, length 2N_t-1) times the tap matrix, shape
-    (blocks, tap_matrix columns).  ``white`` holds N_t-1 inputs past the
-    last block."""
-    windows = sliding_window_view(white, 2 * n_t - 1)[::n_t]
-    return np.ascontiguousarray(windows) @ tap_matrix
+    """FIR outputs of every whole block of ``white``, shape (blocks,
+    tap_matrix columns).  A block's window is its own N_t inputs, times
+    the tap matrix's first N_t rows, plus the next block's first N_t-1
+    inputs, times the rest; both are strided views of ``white``, so no
+    window is copied.  ``white`` holds N_t-1 inputs past the last
+    block."""
+    blocks = (len(white) - n_t + 1) // n_t
+    head = white[: blocks * n_t].reshape(blocks, n_t)
+    tail = sliding_window_view(white[n_t:], n_t - 1)[::n_t]
+    out = head @ tap_matrix[:n_t]
+    out += tail @ tap_matrix[n_t:]
+    return out
 
 
 def synth_source(
@@ -246,6 +257,48 @@ def draw_threads(workers: Optional[int], n_streams: int) -> int:
     return max(1, min(workers, n_streams))
 
 
+@functools.cache
+def _numpy_blas():
+    """numpy's extension module opened as a shared library, through which
+    its BLAS's symbols resolve wherever that library lies; None if it
+    cannot be opened."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        return ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the calling thread's BLAS on one thread inside the block and
+    set it back to its previous count on the way out, also when the
+    block raises.  Yields the count inside, 1, or None when numpy's BLAS
+    has no openblas_set_num_threads_local (OpenBLAS 0.3.27 or later; not
+    MKL or Accelerate), in which case nothing is changed.
+
+    Scenario runs fold block_chunks' chunks into a Gram under it, so the
+    calling thread's small products do not start BLAS threads that
+    compete with the draw pool for the CPUs.  The call sets the calling
+    thread's own count on an OpenMP build of OpenBLAS; on a pthreads
+    build (numpy's wheels) it sets the count of the whole process until
+    the block ends.
+    """
+    setter = getattr(_numpy_blas(), "openblas_set_num_threads_local", None)
+    if setter is None:
+        yield None
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    previous = setter(1)
+    try:
+        yield 1
+    finally:
+        setter(previous)
+
+
 def block_chunks(
     sources: Sequence[SourceSpec],
     geometry: ArrayGeometry,
@@ -276,9 +329,10 @@ def block_chunks(
     each source's next inputs into its buffer.  A stream is drawn by one
     task at a time, in time order, so the blocks do not depend on the
     thread count; nothing is drawn past the last chunk.  The FIRs and
-    the steering (all BLAS work) run on the calling thread.  Closing the
-    generator, or a failed draw, shuts the pool down after its running
-    tasks end.
+    the steering (all BLAS work) run on the calling thread, with its BLAS
+    threads (one under one_blas_thread, as scenario runs fold).  Closing
+    the generator, or a failed draw, shuts the pool down after its
+    running tasks end.
     """
     if noise_variance < 0:
         raise ValueError("noise variance must be >= 0")
@@ -400,16 +454,15 @@ def block_buffer_bytes(
     input buffer of one chunk plus N_t-1 samples, its (2N_t-1, M_t) tap
     matrix and its filtered (blocks, M_t) outputs.  Per draw thread that
     draws noise: a (blocks, N_t) buffer.  The steering matrix.  Plus the
-    larger of the two temporaries on the calling thread: a FIR's
-    (blocks, 2N_t-1) windows and (blocks, M_t) product, or the steered
-    (M_s, blocks*M_t) product.
+    larger of the two temporaries on the calling thread: a FIR's two
+    (blocks, M_t) products, or the steered (M_s, blocks*M_t) product.
     """
     per = chunk_blocks(n_t)
     chunk = 16 * per * m_active * m_t
     per_source = 16 * ((per + 1) * n_t - 1 + (2 * n_t - 1) * m_t + per * m_t)
     noise = 16 * per * n_t * min(threads, m_active) if noisy else 0
     # without sources the largest temporary is np.isfinite's mask
-    temporary = max(16 * per * (2 * n_t - 1 + m_t), chunk) if n_sources else chunk // 16
+    temporary = max(2 * 16 * per * m_t, chunk) if n_sources else chunk // 16
     steer = 16 * m_active * n_sources
     return 3 * chunk + n_sources * per_source + noise + steer + temporary
 

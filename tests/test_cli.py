@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -454,6 +455,7 @@ def smoke_copy(tmp_path, old, new):
          "n_underlying = 0\nspacing = 0.5\nmarks = solve"),
         ("n_underlying = 8\nspacing = 0.5\nmarks = 0 1 2 3 7",
          "n_underlying = -3\nspacing = 0.5\nmarks = solve"),
+        ("n_blocks = 500\nseed = 0", "n_blocks = 10000000000000\nseed = 0"),
     ],
     ids=[
         "seed-abc",
@@ -470,6 +472,7 @@ def smoke_copy(tmp_path, old, new):
         "source-section-not-integer",
         "n-underlying-zero-solved",
         "n-underlying-negative-solved",
+        "n-blocks-over-the-work-limit",
     ],
 )
 def test_cli_bad_value_exits_2(tmp_path, capsys, old, new):
@@ -829,6 +832,128 @@ def test_run_report_records_the_draw_threads(tmp_path):
     on_disk = json.loads((tmp_path / "report.json").read_text())
     assert on_disk["draw_threads"] == 2
     assert on_disk["cost"] == run_certify(cfg)["cost"]
+
+
+def blas_thread_count():
+    """The calling thread's OpenBLAS thread count, left as it was."""
+    setter = simulate._numpy_blas().openblas_set_num_threads_local
+    count = setter(1)
+    setter(count)
+    return count
+
+
+needs_blas_control = pytest.mark.skipif(
+    not hasattr(simulate._numpy_blas(), "openblas_set_num_threads_local"),
+    reason="numpy's BLAS has no per-thread thread count",
+)
+
+
+@needs_blas_control
+def test_run_and_sweep_fold_on_one_blas_thread(tmp_path, monkeypatch):
+    counts = []
+    orig = estimate.block_gram
+
+    def recording_gram(blocks):
+        counts.append(blas_thread_count())
+        return orig(blocks)
+
+    monkeypatch.setattr(estimate, "block_gram", recording_gram)
+    before = blas_thread_count()
+    cfg = replace(load_scenario(SMOKE), n_blocks=2 * simulate.chunk_blocks(8) + 3)
+    report = run_scenario(cfg, output_dir=str(tmp_path / "run"))
+    assert report["blas_threads"] == 1
+    assert blas_thread_count() == before
+    run_sweep(cfg, "n_blocks", [5000], [0], output_dir=str(tmp_path / "sweep"))
+    assert blas_thread_count() == before
+    assert len(counts) == 6 and set(counts) == {1}
+
+
+@needs_blas_control
+def test_blas_thread_count_is_restored_when_the_fold_raises(tmp_path, monkeypatch):
+    before = blas_thread_count()
+    calls = []
+    orig = estimate.block_gram
+
+    def fail_on_second_chunk(blocks):
+        calls.append(blas_thread_count())
+        if len(calls) == 2:
+            raise RuntimeError("estimator failed mid-stream")
+        return orig(blocks)
+
+    monkeypatch.setattr(estimate, "block_gram", fail_on_second_chunk)
+    cfg = replace(load_scenario(SMOKE), n_blocks=3 * simulate.chunk_blocks(8))
+    with pytest.raises(RuntimeError, match="mid-stream"):
+        run_scenario(cfg, output_dir=str(tmp_path))
+    assert calls == [1, 1]
+    assert blas_thread_count() == before
+
+
+@needs_blas_control
+def test_blas_thread_count_is_restored_when_a_generator_is_closed():
+    before = blas_thread_count()
+
+    def folding():
+        with simulate.one_blas_thread() as threads:
+            yield threads, blas_thread_count()
+            yield None
+
+    gen = folding()
+    assert next(gen) == (1, 1)
+    gen.close()
+    assert blas_thread_count() == before
+
+
+def test_fold_runs_without_per_thread_blas_control(tmp_path, monkeypatch):
+    # MKL, Accelerate or an OpenBLAS before 0.3.27: no symbol to call
+    monkeypatch.setattr(simulate, "_numpy_blas", lambda: types.SimpleNamespace())
+    cfg = replace(load_scenario(SMOKE), n_blocks=300)
+    report = run_scenario(cfg, output_dir=str(tmp_path / "run"))
+    assert report["blas_threads"] is None
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["blas_threads"] is None
+    run_sweep(cfg, "n_blocks", [300], [0], output_dir=str(tmp_path / "sweep"))
+
+
+def test_one_blas_thread_keeps_the_simulated_blocks():
+    # flagship seed 0, two chunks and a cut one: the draws, FIRs and
+    # steering give the same bits at one BLAS thread and at the default
+    cfg = load_scenario(FLAGSHIP)
+    design = resolve(cfg).design
+    args = (cfg.sources, design.geometry, design.pattern, cfg.noise_variance)
+    n_blocks = 2 * simulate.chunk_blocks(cfg.n_t) + 5
+    default = simulate.compressed_blocks(*args, n_blocks, cfg.master_seed)
+    with simulate.one_blas_thread():
+        one = simulate.compressed_blocks(*args, n_blocks, cfg.master_seed)
+    np.testing.assert_array_equal(one.blocks, default.blocks)
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("certify", ()),
+        ("run", ("--seed", "1")),
+        ("sweep", ("--param", "n_blocks", "--values", "50,10000000000000")),
+    ],
+    ids=["certify", "run-seed", "sweep-values"],
+)
+def test_cli_work_above_the_limit_exits_2(tmp_path, capsys, monkeypatch, command, overrides):
+    # smoke at 10^13 blocks: 6.4e14 complex normals and 5e16 Gram flops
+    if command == "sweep":
+        path = SMOKE
+    else:
+        path = smoke_copy(tmp_path, "n_blocks = 500", "n_blocks = 10000000000000")
+    forbid_simulation(monkeypatch)
+    out = () if command == "certify" else ("--output-dir", str(tmp_path / "o"))
+    assert main([command, str(path), *overrides, *out]) == 2
+    captured = capsys.readouterr()
+    assert "[run] n_blocks = 10000000000000 is too much work" in captured.err
+    assert "6.4e+14 complex normals" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_flagship_is_far_below_the_work_limit():
+    cfg = load_scenario(FLAGSHIP)
+    assert resolve(replace(cfg, n_blocks=cfg.n_blocks * 10**4)).design is not None
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -147,6 +147,24 @@ def test_synth_source_matches_direct_convolution(total, n_taps):
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n_t", [1, 2, 8, 84])
+def test_fir_blocks_match_the_copied_windows(n_t):
+    # head and tail views against one copied (blocks, 2N_t-1) window per
+    # block; at N_t = 1 the tail has no columns
+    rng = np.random.default_rng(n_t)
+    blocks = 7
+    white = rng.standard_normal((blocks + 1) * n_t - 1) + 1j * rng.standard_normal(
+        (blocks + 1) * n_t - 1
+    )
+    taps = simulate._tap_matrix(
+        rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t), range(n_t), n_t
+    )
+    windows = np.lib.stride_tricks.sliding_window_view(white, 2 * n_t - 1)[::n_t]
+    got = simulate._fir_blocks(white, taps, n_t)
+    assert got.shape == (blocks, n_t)
+    np.testing.assert_allclose(got, windows @ taps, rtol=0, atol=1e-13)
+
+
 def test_synth_source_zero_length():
     spec = SourceSpec(0.0, TABLE_BAND, 1.0)
     assert synth_source(spec, 0, 84, source_rng(0, 0)).size == 0
