@@ -23,6 +23,7 @@ import numpy as np
 
 from .estimate import RankDeficiencyError
 from .scenario import (
+    SWEEP_PARAMS,
     ConfigError,
     DesignGateError,
     load_scenario,
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="repeat runs over a parameter grid")
     p_sweep.add_argument("config", help="scenario file")
-    p_sweep.add_argument("--param", required=True, choices=("n_blocks", "m_t"))
+    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p_sweep.add_argument("--values", required=True, type=_int_list)
     p_sweep.add_argument("--seeds", type=_int_list, default=None,
                          help="comma-separated; defaults to the scenario seed")

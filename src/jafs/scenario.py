@@ -15,7 +15,8 @@ A scenario file is INI-style text with sections::
 
     [grid]
     q = 71
-    mode = inverse-sin       ; or "explicit" with angles_deg = ...
+    mode = inverse-sin       ; or "explicit", with angles_deg
+    ; angles_deg = -30 0 30  ; explicit grid angles in degrees, increasing
 
     [source.1]
     doa_deg = -54
@@ -36,23 +37,26 @@ A scenario file is INI-style text with sections::
     ;                        ; CPUs available); also settable via JAFS_WORKERS
     ; dump_snapshots = true  ; write compressed blocks next to the CSVs
 
-load_scenario parses; resolve(cfg) judges the values, gates, builds and
-certifies the design for run, certify and sweep alike, before anything is
-simulated: certify reports every gate record, run and sweep stop on the
-first failed hard one.  A sweep runs its jobs one after another; the
-worker count sets the threads that draw each run's random streams, and
-each run folds its chunks into its Gram on one BLAS thread.  resolve
-refuses, as a bad value, a run whose predicted work exceeds
-MAX_COMPLEX_NORMALS or MAX_GRAM_FLOPS.  Hard gates:
+KEYS declares every key a file may hold, with its type, default and
+bounds; load_scenario reads the file through it and refuses any other
+section or key.  resolve(cfg) judges the bounds again, so that --seed,
+--seeds and --values (for a field in SWEEP_PARAMS) are held to them,
+then gates, builds and certifies the design for run, certify and sweep
+alike, before anything is simulated: certify reports every gate record,
+run and sweep stop on the first failed hard one.  A sweep runs its jobs
+one after another; the worker count sets the threads that draw each
+run's random streams, and each run folds its chunks into its Gram on one
+BLAS thread.  resolve refuses, as a bad value, a run whose predicted
+work exceeds MAX_COMPLEX_NORMALS or MAX_GRAM_FLOPS.  Hard gates:
 temporal-overdetermination (M_t**2 >= 2*N_t - 1, else the lag system is
-underdetermined); band-resolution (every source band at least
-2*pi/N_t wide, all the N_t-tap source filters resolve);
-coset-ruler-cardinality (M_t reaches the cardinality of the length-(N_t-1)
-coset ruler when the rows are built from it; recorded only when it fails,
-since then no design exists); lag-coverage (the coset rows realize every
-lag); kr-rank (the Khatri-Rao matrix has rank Q).  M_s**2 >= Q is a
-warning (the angular system is certified anyway); Q <= 2*N_s - 1 is
-advisory (more grid angles than the full co-array could ever resolve).
+underdetermined); band-resolution (every source band at least 2*pi/N_t
+wide, all the N_t-tap source filters resolve); coset-ruler-cardinality
+(M_t reaches the cardinality of the length-(N_t-1) coset ruler when the
+rows are built from it; recorded only when it fails, since then no
+design exists); lag-coverage (the coset rows realize every lag); kr-rank
+(the Khatri-Rao matrix has rank Q).  M_s**2 >= Q is a warning (the
+angular system is certified anyway); Q <= 2*N_s - 1 is advisory (more
+grid angles than the full co-array could ever resolve).
 """
 
 from __future__ import annotations
@@ -130,41 +134,105 @@ class ScenarioConfig:
     dump_snapshots: bool = False
 
 
-def _parse_int(section, key):
-    raw = section.get(key)
-    if raw is None:
-        raise ConfigError(f"[{section.name}] missing key '{key}'")
+class Key(NamedTuple):
+    """A key of ``section`` ("source.N": every [source.N]) read into
+    ``field`` (None: read by hand) as ``kind`` (int, float, str, (int,)
+    or (float,) for a list, or a dict from accepted words to values), else
+    ``default`` (...: required; a blank value unsets a None default).
+    _judge holds it within ``bounds`` (a key of _BOUNDS), naming it
+    ``label``, else "[section] key"."""
+
+    section: str
+    key: str
+    field: Optional[str] = None
+    kind: object = None
+    default: object = ...
+    bounds: Optional[str] = None
+    label: Optional[str] = None
+
+
+_BOUNDS = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
+_BOOLEAN = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+# every key a scenario file may hold
+KEYS = (
+    Key("geometry", "n_underlying", "n_underlying", int, bounds=">= 1"),
+    Key("geometry", "spacing", "spacing", float),
+    Key("geometry", "marks"),
+    Key("coset", "n_t", "n_t", int),
+    Key("coset", "m_t", "m_t", int, bounds=">= 1"),
+    Key("coset", "rows", "coset_rows", (int,), None),
+    Key("coset", "seed", "coset_seed", int, None, ">= 0"),
+    Key("grid", "q", "grid_q", int),
+    Key("grid", "mode"),
+    Key("grid", "angles_deg"),
+    Key("source.N", "doa_deg", "doa_deg", float),
+    Key("source.N", "band_lo_pi", "band_lo_pi", float),
+    Key("source.N", "band_hi_pi", "band_hi_pi", float),
+    Key("source.N", "variance", "variance", float),
+    Key("noise", "variance", "noise_variance", float, bounds=">= 0"),
+    Key("noise", "mode", "noise_mode", {"estimate": "estimate", "known": "known"}, "estimate"),
+    Key("run", "n_blocks", "n_blocks", int, bounds=">= 1"),
+    Key("run", "seed", "master_seed", int, bounds=">= 0"),
+    Key("run", "output_dir", "output_dir", str, "out"),
+    Key("run", "peak_threshold", "peak_threshold", float, 0.35, "in (0, 1]"),
+    # unset: WORKERS_ENV, else the CPUs available
+    Key("run", "workers", "workers", int, None, ">= 1", "worker count"),
+    Key("run", "dump_snapshots", "dump_snapshots", _BOOLEAN, False),
+)
+# the fields run_sweep and ``jafs sweep --param`` vary
+SWEEP_PARAMS = ("n_blocks", "m_t")
+
+
+def _parse(raw: str, kind, label: str):
+    """``raw`` as a value of a Key's ``kind``; ``label`` names it in errors."""
+    if isinstance(kind, tuple):
+        return tuple(_parse(tok, kind[0], label) for tok in raw.split())
+    if isinstance(kind, dict):
+        if raw.lower() not in kind:
+            raise ConfigError(f"{label} = {raw!r} must be one of {', '.join(kind)}")
+        return kind[raw.lower()]
     try:
-        return int(raw)
+        value = kind(raw)
     except ValueError:
-        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not an integer")
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{label} = {raw!r} is not {noun}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{label} = {raw!r} is not finite")
+    return value
 
 
-def _parse_float(section, key, default=None):
-    raw = section.get(key)
-    if raw is None:
-        if default is not None:
-            return default
-        raise ConfigError(f"[{section.name}] missing key '{key}'")
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a number")
-    if not math.isfinite(val):
-        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not finite")
-    return val
+def _read(section, declared: str) -> dict:
+    """The values, by field, of the KEYS of section ``declared`` in ``section``."""
+    values = {}
+    for spec in (k for k in KEYS if k.section == declared and k.field):
+        raw = section.get(spec.key)
+        if raw is None or (not raw and spec.default is None):
+            if spec.default is ...:
+                raise ConfigError(f"[{section.name}] missing key '{spec.key}'")
+            values[spec.field] = spec.default
+        else:
+            values[spec.field] = _parse(raw, spec.kind, f"[{section.name}] {spec.key}")
+    return values
 
 
-def _parse_marks(raw):
-    try:
-        return tuple(int(tok) for tok in raw.split())
-    except ValueError:
-        raise ConfigError(f"mark list {raw!r} must be whitespace-separated integers")
+def _judge(values: dict) -> None:
+    """ConfigError naming the first set value (by field) out of bounds."""
+    for spec in KEYS:
+        value = values[spec.field] if spec.bounds else None
+        if value is not None and not _BOUNDS[spec.bounds](value):
+            label = spec.label or f"[{spec.section}] {spec.key}"
+            raise ConfigError(f"{label} = {value} must be {spec.bounds}")
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse a scenario file; ConfigError if it is unreadable or a value
-    has the wrong form.  resolve judges whether the values are usable."""
+    """Parse a scenario file; ConfigError if it is unreadable, holds a
+    section or key that KEYS does not declare, or a value has the wrong
+    form or is out of bounds.  resolve judges the bounds again."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     path = Path(path)
     try:
@@ -172,110 +240,63 @@ def load_scenario(path) -> ScenarioConfig:
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
 
-    for name in ("geometry", "coset", "grid", "noise", "run"):
+    sections = ("geometry", "coset", "grid", "noise", "run")
+    keys = {(k.section, k.key) for k in KEYS}
+    for name in parser.sections():
+        declared = "source.N" if name.startswith("source.") else name
+        if declared not in sections + ("source.N",):
+            raise ConfigError(f"unknown section [{name}]")
+        # a section's keys include configparser's [DEFAULT] ones
+        for key in parser[name]:
+            if (declared, key) not in keys:
+                raise ConfigError(f"[{name}] unknown key {key!r}")
+
+    values = {}
+    for name in sections:
         if name not in parser:
             raise ConfigError(f"missing [{name}] section")
+        values.update(_read(parser[name], name))
+    if values["workers"] is None and os.environ.get(WORKERS_ENV):
+        values["workers"] = _parse(os.environ[WORKERS_ENV], int, WORKERS_ENV)
+    _judge(values)
 
-    geo = parser["geometry"]
-    n_underlying = _parse_int(geo, "n_underlying")
-    spacing = _parse_float(geo, "spacing")
-    marks_raw = geo.get("marks", "solve").strip()
-    marks = None if marks_raw.lower() == "solve" else _parse_marks(marks_raw)
-
-    coset = parser["coset"]
-    n_t = _parse_int(coset, "n_t")
-    m_t = _parse_int(coset, "m_t")
-    rows_raw = coset.get("rows")
-    coset_rows = _parse_marks(rows_raw) if rows_raw else None
-    coset_seed = _parse_int(coset, "seed") if coset.get("seed") else None
-    if marks is None:
-        if n_underlying < 1:
-            raise ConfigError(f"[geometry] n_underlying = {n_underlying} must be >= 1")
+    marks = parser["geometry"].get("marks", "solve")
+    if marks.lower() != "solve":
+        values["marks"] = _parse(marks, (int,), "[geometry] marks")
+    elif values["n_underlying"] == 1:
         # one antenna is its own ruler, as build_coset_pattern has it for N_t = 1
-        marks = (0,) if n_underlying == 1 else solve_sparse_ruler(n_underlying - 1).marks
+        values["marks"] = (0,)
+    else:
+        values["marks"] = solve_sparse_ruler(values["n_underlying"] - 1).marks
 
-    grid_sec = parser["grid"]
-    grid_q = _parse_int(grid_sec, "q")
-    mode = grid_sec.get("mode", "inverse-sin").strip().lower()
+    grid = parser["grid"]
+    mode = grid.get("mode", "inverse-sin").lower()
     if mode == "inverse-sin":
-        grid_angles = None
+        values["grid_angles"] = None
+    elif mode == "explicit" and grid.get("angles_deg"):
+        degrees = _parse(grid["angles_deg"], (float,), "[grid] angles_deg")
+        values["grid_angles"] = tuple(np.radians(degrees))
     elif mode == "explicit":
-        raw = grid_sec.get("angles_deg")
-        if not raw:
-            raise ConfigError("[grid] mode=explicit requires angles_deg")
-        try:
-            grid_angles = tuple(np.radians(float(tok)) for tok in raw.split())
-        except ValueError:
-            raise ConfigError("[grid] angles_deg must be numbers")
+        raise ConfigError("[grid] mode=explicit requires angles_deg")
     else:
         raise ConfigError(f"[grid] unknown mode {mode!r}")
 
-    sources = []
-    src_names = [name for name in parser.sections() if name.startswith("source.")]
+    sources = [name for name in parser.sections() if name.startswith("source.")]
     try:
-        src_names.sort(key=lambda name: int(name.split(".", 1)[1]))
+        sources.sort(key=lambda name: int(name.split(".", 1)[1]))
     except ValueError:
         raise ConfigError("source sections must be [source.N] with an integer N")
-    for name in src_names:
-        sec = parser[name]
-        try:
-            sources.append(
-                SourceSpec(
-                    true_doa=float(np.radians(_parse_float(sec, "doa_deg"))),
-                    band=(
-                        _parse_float(sec, "band_lo_pi") * np.pi,
-                        _parse_float(sec, "band_hi_pi") * np.pi,
-                    ),
-                    input_variance=_parse_float(sec, "variance"),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[{name}] {exc}")
+    values["sources"] = tuple(_source(parser[name]) for name in sources)
+    return ScenarioConfig(**values)
 
-    noise = parser["noise"]
-    noise_variance = _parse_float(noise, "variance")
-    if noise_variance < 0:
-        raise ConfigError("[noise] variance must be >= 0")
-    noise_mode = noise.get("mode", "estimate").strip().lower()
-    if noise_mode not in ("estimate", "known"):
-        raise ConfigError("[noise] mode must be 'estimate' or 'known'")
 
-    run = parser["run"]
-    n_blocks = _parse_int(run, "n_blocks")
-    master_seed = _parse_int(run, "seed")
-    output_dir = run.get("output_dir", "out").strip()
-    peak_threshold = _parse_float(run, "peak_threshold", default=0.35)
-    if not (0 < peak_threshold <= 1):
-        raise ConfigError("[run] peak_threshold must be in (0, 1]")
-    workers_raw = run.get("workers") or os.environ.get(WORKERS_ENV)
+def _source(section) -> SourceSpec:
+    src = _read(section, "source.N")
+    band = (src["band_lo_pi"] * np.pi, src["band_hi_pi"] * np.pi)
     try:
-        workers = int(workers_raw) if workers_raw else None
-    except ValueError:
-        raise ConfigError(f"worker count {workers_raw!r} is not an integer")
-    dump = run.get("dump_snapshots", "false").strip().lower()
-    if dump not in ("true", "false", "yes", "no", "1", "0"):
-        raise ConfigError("[run] dump_snapshots must be a boolean")
-
-    return ScenarioConfig(
-        n_underlying=n_underlying,
-        spacing=spacing,
-        marks=marks,
-        n_t=n_t,
-        m_t=m_t,
-        coset_rows=coset_rows,
-        coset_seed=coset_seed,
-        grid_q=grid_q,
-        grid_angles=grid_angles,
-        sources=tuple(sources),
-        noise_variance=noise_variance,
-        noise_mode=noise_mode,
-        n_blocks=n_blocks,
-        master_seed=master_seed,
-        output_dir=output_dir,
-        peak_threshold=peak_threshold,
-        workers=workers,
-        dump_snapshots=dump in ("true", "yes", "1"),
-    )
+        return SourceSpec(float(np.radians(src["doa_deg"])), band, src["variance"])
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {exc}")
 
 
 def geometry_of(cfg: ScenarioConfig) -> ArrayGeometry:
@@ -368,15 +389,7 @@ def resolve(cfg: ScenarioConfig) -> Resolution:
     that describes no geometry, grid or coset pattern raise ConfigError,
     and so does one whose predicted_cost exceeds MAX_COMPLEX_NORMALS or
     MAX_GRAM_FLOPS."""
-    for name, value, least in (
-        ("[run] seed", cfg.master_seed, 0),
-        ("[coset] seed", cfg.coset_seed, 0),
-        ("[run] n_blocks", cfg.n_blocks, 1),
-        ("[coset] m_t", cfg.m_t, 1),
-        ("worker count", cfg.workers, 1),
-    ):
-        if value is not None and value < least:
-            raise ConfigError(f"{name} = {value} must be >= {least}")
+    _judge(vars(cfg))
     try:
         parts = geometry_of(cfg), grid_of(cfg), pattern_of(cfg)
     except CosetCardinalityError as exc:
@@ -647,7 +660,7 @@ def run_sweep(
 ) -> Path:
     """One pipeline run per (value, seed); consolidated error metrics.
 
-    ``param`` is "n_blocks" or "m_t".  Per run the CSV records the
+    ``param`` is one of SWEEP_PARAMS.  Per run the CSV records the
     relative error of the recovered per-angle lag matrix against the
     closed-form one (NaN when any source is off-grid, where exact truth
     is undefined), the noise-power error, and the fraction of true
@@ -657,8 +670,9 @@ def run_sweep(
     streams on the config's worker count (see block_chunks) and folding
     them into its Gram on one BLAS thread (one_blas_thread).
     """
-    if param not in ("n_blocks", "m_t"):
-        raise ConfigError(f"sweep parameter must be n_blocks or m_t, got {param!r}")
+    if param not in SWEEP_PARAMS:
+        params = " or ".join(SWEEP_PARAMS)
+        raise ConfigError(f"sweep parameter must be {params}, got {param!r}")
     # without a pinned coset seed the pattern depends on the run's seed
     jobs = []
     for value in values:

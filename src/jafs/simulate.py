@@ -272,6 +272,13 @@ def _numpy_blas():
         return None
 
 
+# the folds open in this process, and the BLAS thread count before the
+# first of them opened: on a pthreads OpenBLAS the count is process-wide
+_folds_lock = threading.Lock()
+_open_folds = 0
+_blas_threads_before = None
+
+
 @contextmanager
 def one_blas_thread():
     """Run the calling thread's BLAS on one thread inside the block and
@@ -282,21 +289,32 @@ def one_blas_thread():
 
     Scenario runs fold block_chunks' chunks into a Gram under it, so the
     calling thread's small products do not start BLAS threads that
-    compete with the draw pool for the CPUs.  The call sets the calling
-    thread's own count on an OpenMP build of OpenBLAS; on a pthreads
-    build (numpy's wheels) it sets the count of the whole process until
-    the block ends.
+    compete with the draw pool for the CPUs.  On a pthreads build of
+    OpenBLAS (numpy's wheels) the call sets the count of the whole
+    process, so folds that overlap in different threads share it: every
+    entry sets 1, the first saves the count before it, and the last to
+    exit sets that count back, whatever order they close in.  An OpenMP
+    build sets the calling thread's own count; there, overlapping folds
+    set back only the thread whose fold closes last.
     """
+    global _open_folds, _blas_threads_before
     setter = getattr(_numpy_blas(), "openblas_set_num_threads_local", None)
     if setter is None:
         yield None
         return
     setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-    previous = setter(1)
+    with _folds_lock:
+        previous = setter(1)
+        if _open_folds == 0:
+            _blas_threads_before = previous
+        _open_folds += 1
     try:
         yield 1
     finally:
-        setter(previous)
+        with _folds_lock:
+            _open_folds -= 1
+            if _open_folds == 0:
+                setter(_blas_threads_before)
 
 
 def block_chunks(

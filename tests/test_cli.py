@@ -1,15 +1,19 @@
 """Scenario parsing, design gates, and the command-line front end."""
 
+import configparser
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import textwrap
+import threading
 import tracemalloc
 import types
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +106,23 @@ def test_load_bundled_flagship():
     assert [round(np.degrees(s.true_doa)) for s in cfg.sources] == [
         -54, -45, -36, -27, -18, -9, 0, 9, 18, 27, 36, 45
     ]
+
+
+def test_documented_example_loads_and_holds_every_declared_key(tmp_path):
+    # the example in jafs.scenario's module docstring sets or comments
+    # out every key of the table
+    example = scenario.__doc__.split("sections::\n\n", 1)[1]
+    text = textwrap.dedent(re.split(r"\n(?=\S)", example, maxsplit=1)[0])
+    load_scenario(write_scenario(tmp_path, text))
+    documented, section = set(), None
+    for line in text.splitlines():
+        header = re.fullmatch(r"\[(\w+)(\.\d+)?\]", line.strip())
+        if header:
+            section = header[1] + (".N" if header[2] else "")
+        key = re.match(r";? ?(\w+) = ", line)
+        if key:
+            documented.add((section, key[1]))
+    assert documented == {(k.section, k.key) for k in scenario.KEYS}
 
 
 def test_missing_section_rejected(tmp_path):
@@ -384,6 +405,20 @@ def test_sweep_rejects_unknown_param(tmp_path):
         run_sweep(cfg, "q", [3], [0], output_dir=str(tmp_path))
 
 
+def test_sweep_param_choices_are_the_sweep_params():
+    parser = cli.build_parser()
+
+    def accepted(param):
+        try:
+            parser.parse_args(["sweep", "x", "--param", param, "--values", "1"])
+        except SystemExit:
+            return False
+        return True
+
+    names = [f.name for f in fields(scenario.ScenarioConfig)]
+    assert {f for f in names if accepted(f)} == set(scenario.SWEEP_PARAMS)
+
+
 # ------------------------------------------------------------ CLI shell
 
 
@@ -589,6 +624,15 @@ ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
         (ROWS, "m_t = 9\n", 2, "m_t = 9 exceeds n_t = 8"),
         # every antenna pair sees the same phase, so the Khatri-Rao rank is 1
         ("spacing = 0.5", "spacing = 1e-300", 3, "kr-rank"),
+        ("mode = estimate", "mod = known", 2, "[noise] unknown key 'mod'"),
+        ("output_dir", "peak_treshold = 0.9\noutput_dir", 2,
+         "[run] unknown key 'peak_treshold'"),
+        ("n_blocks = 500", "n_blocks = 500\nn_block = 7", 2, "[run] unknown key 'n_block'"),
+        ("doa_deg = 0", "doa_deg = 0\ndoa = 3", 2, "[source.2] unknown key 'doa'"),
+        ("[noise]", "[nosie]\nmode = known\n\n[noise]", 2, "unknown section [nosie]"),
+        # [DEFAULT] keys are keys of every section
+        ("[geometry]", "[DEFAULT]\nseed = 0\n\n[geometry]", 2,
+         "[geometry] unknown key 'seed'"),
     ],
     ids=[
         "band-0.1pi",
@@ -600,6 +644,12 @@ ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
         "row-repeated",
         "m_t-above-n_t",
         "spacing-1e-300",
+        "noise-mod",
+        "run-peak-treshold",
+        "run-n-block",
+        "source-doa",
+        "section-nosie",
+        "default-seed",
     ],
 )
 def test_cli_commands_agree_before_simulating(
@@ -666,6 +716,36 @@ def test_cli_unusable_path_exits_2(tmp_path, capsys, monkeypatch, args):
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+# a value just outside each (bounds, type) of the scenario key table
+OUTSIDE = {
+    (">= 0", int): ["-1"],
+    (">= 0", float): ["-5e-324"],
+    (">= 1", int): ["0"],
+    ("in (0, 1]", float): ["0", "1.0000000000000002"],
+}
+BOUNDED = [key for key in scenario.KEYS if key.bounds]
+
+
+@pytest.mark.parametrize("key", BOUNDED, ids=[f"{k.section}-{k.key}" for k in BOUNDED])
+def test_value_just_outside_its_bounds_exits_2(tmp_path, capsys, monkeypatch, key):
+    forbid_simulation(monkeypatch)
+    label = key.label or f"[{key.section}] {key.key}"
+    for value in OUTSIDE[key.bounds, key.kind]:
+        parser = configparser.ConfigParser()
+        parser.read_string(SMOKE.read_text())
+        parser[key.section][key.key] = value
+        path = tmp_path / "case.scenario"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        assert main(["certify", str(path)]) == 2
+        assert f"{label} = " in capsys.readouterr().err
+        if key.field in scenario.SWEEP_PARAMS:
+            sweep = ("--param", key.field, "--values", value)
+            assert main(cli_args("sweep", SMOKE, tmp_path, sweep)) == 2
+            assert f"{label} = {value} must be {key.bounds}" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
 
 def test_cli_sweep_m_t_above_n_t_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
@@ -886,6 +966,40 @@ def test_blas_thread_count_is_restored_when_the_fold_raises(tmp_path, monkeypatc
         run_scenario(cfg, output_dir=str(tmp_path))
     assert calls == [1, 1]
     assert blas_thread_count() == before
+
+
+@needs_blas_control
+def test_overlapping_folds_keep_one_blas_thread_until_the_last_closes():
+    # two threads open folds in the order A in, B in, A out, B out
+    setter = simulate._numpy_blas().openblas_set_num_threads_local
+    original = setter(2)
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    during_b = []
+
+    def fold_a():
+        with simulate.one_blas_thread():
+            a_in.set()
+            assert b_in.wait(10)
+        a_out.set()
+
+    def fold_b():
+        assert a_in.wait(10)
+        with simulate.one_blas_thread():
+            b_in.set()
+            assert a_out.wait(10)
+            during_b.append(blas_thread_count())
+
+    try:
+        before = blas_thread_count()
+        threads = [threading.Thread(target=f) for f in (fold_a, fold_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert not any(t.is_alive() for t in threads)
+        assert (before, during_b, blas_thread_count()) == (2, [1], 2)
+    finally:
+        setter(original)
 
 
 @needs_blas_control
