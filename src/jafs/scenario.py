@@ -38,16 +38,19 @@ A scenario file is INI-style text with sections::
     ; dump_snapshots = true  ; write compressed blocks next to the CSVs
 
 KEYS declares every key a file may hold, with its type, default and
-bounds; load_scenario reads the file through it and refuses any other
-section or key.  resolve(cfg) judges the bounds again, so that --seed,
---seeds and --values (for a field in SWEEP_PARAMS) are held to them,
-then gates, builds and certifies the design for run, certify and sweep
-alike, before anything is simulated: certify reports every gate record,
-run and sweep stop on the first failed hard one.  A sweep runs its jobs
-one after another; the worker count sets the threads that draw each
-run's random streams, and each run folds its chunks into its Gram on one
-BLAS thread.  resolve refuses, as a bad value, a run whose predicted
-work exceeds MAX_COMPLEX_NORMALS or MAX_GRAM_FLOPS.  Hard gates:
+bounds; load_scenario reads the file through it, values taken literally
+(a "%" is only a "%"), and refuses any other section or key.
+resolve(cfg) judges the bounds again, so that --seed, --seeds and
+--values (for a field in SWEEP_PARAMS) are held to them, then gates,
+builds and certifies the design for run, certify and sweep alike, before
+anything is simulated: certify reports every gate record, run and sweep
+stop on the first failed hard one; certify's report opens a run's.  A
+run and each sweep run estimate through one path, _estimate: it folds
+the run's chunks into its Gram on one BLAS thread, solves it and finds
+the peaks.  A sweep runs its jobs one after another; the worker count
+sets the threads that draw each run's random streams.  resolve refuses,
+as a bad value, a run whose predicted work exceeds MAX_COMPLEX_NORMALS
+or MAX_GRAM_FLOPS.  Hard gates:
 temporal-overdetermination (M_t**2 >= 2*N_t - 1, else the lag system is
 underdetermined); band-resolution (every source band at least 2*pi/N_t
 wide, all the N_t-tap source filters resolve); coset-ruler-cardinality
@@ -129,9 +132,9 @@ class ScenarioConfig:
     n_blocks: int
     master_seed: int
     output_dir: str
-    peak_threshold: float = 0.35
-    workers: Optional[int] = None
-    dump_snapshots: bool = False
+    peak_threshold: float
+    workers: Optional[int]
+    dump_snapshots: bool
 
 
 class Key(NamedTuple):
@@ -233,7 +236,9 @@ def load_scenario(path) -> ScenarioConfig:
     """Parse a scenario file; ConfigError if it is unreadable, holds a
     section or key that KEYS does not declare, or a value has the wrong
     form or is out of bounds.  resolve judges the bounds again."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None
+    )
     path = Path(path)
     try:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
@@ -473,52 +478,29 @@ def design_certificates(design: est.Design) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, rows) -> None:
+    """Rows of Python strings and numbers, each cell as its str (for a
+    float, the shortest decimal that reads back to it)."""
     with open(path, "w") as fh:
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _spectrum_csvs(out: Path, spec: est.SpectrumMatrix) -> list:
-    """Raw (complex, natural bin order) and plot (clamped real, sorted
-    frequency) spectrum CSVs plus the angular marginal."""
-    angles_deg = np.degrees(spec.angle_grid.angles)
-    written = []
-
-    raw_path = out / "spectrum_raw.csv"
-    rows = [["angle_deg"] + [_fmt(float(f)) for f in spec.freq_grid]]
-    for q, adeg in enumerate(angles_deg):
-        rows.append([_fmt(float(adeg))] + [repr(complex(v)) for v in spec.values[q]])
-    _write_csv(raw_path, rows)
-    written.append(raw_path)
-
+def _spectrum_csvs(out: Path, spec: est.SpectrumMatrix, written: list) -> None:
+    """Write the raw (complex, natural bin order) and plot (clamped real,
+    sorted frequency) spectrum CSVs and the angular marginal, adding each
+    path to ``written`` before it is opened."""
+    angles_deg = np.degrees(spec.angle_grid.angles).tolist()
     order = np.argsort(spec.freq_grid, kind="stable")
     clamped = spec.clamped_real()
-    plot_path = out / "spectrum_plot.csv"
-    rows = [["angle_deg"] + [_fmt(float(spec.freq_grid[k])) for k in order]]
-    for q, adeg in enumerate(angles_deg):
-        rows.append(
-            [_fmt(float(adeg))] + [_fmt(float(clamped[q, k])) for k in order]
-        )
-    _write_csv(plot_path, rows)
-    written.append(plot_path)
-
-    marg_path = out / "angular_marginal.csv"
-    marginal = clamped.sum(axis=1)
-    rows = [["angle_deg", "power"]]
-    rows += [
-        [_fmt(float(a)), _fmt(float(m))] for a, m in zip(angles_deg, marginal)
-    ]
-    _write_csv(marg_path, rows)
-    written.append(marg_path)
-    return written
+    tables = {
+        "spectrum_raw.csv": (spec.freq_grid.tolist(), spec.values),
+        "spectrum_plot.csv": (spec.freq_grid[order].tolist(), clamped[:, order]),
+        "angular_marginal.csv": (["power"], clamped.sum(axis=1)[:, None]),
+    }
+    for name, (header, values) in tables.items():
+        written.append(out / name)
+        rows = ([a, *row] for a, row in zip(angles_deg, values.tolist()))
+        _write_csv(out / name, [["angle_deg", *header], *rows])
 
 
 def run_scenario(
@@ -537,47 +519,30 @@ def run_scenario(
     be limited), so ``timings["simulate_s"]`` is the run's wait on the
     simulator: the FIRs, the steering and any draw not yet done.
     ``timings["export_s"]`` covers writing the CSVs and assembling the
-    report, not writing report.json, which holds it.  Partial outputs are removed if any
-    stage fails.
+    report, not writing report.json, which holds it.  Partial outputs are
+    removed if any stage fails; an output that cannot be written raises
+    ConfigError naming it.
     """
     if seed is not None:
         cfg = _replace(cfg, master_seed=seed)
     t0 = time.perf_counter()
     resolved = resolve(cfg)
     require_gates(resolved.gates)
-    design = resolved.design
     timings = {"design_s": time.perf_counter() - t0}
     out = _output_dir(cfg, output_dir)
     written = []
     try:
-        chunks = _simulated_chunks(cfg, design)
+        dump = None
         if cfg.dump_snapshots:
-            dump_path = out / "compressed_blocks.bin"
-            written.append(dump_path)
-            shape = (cfg.n_blocks, design.geometry.m_active, design.pattern.m_t)
-            chunks = dump_chunks(dump_path, chunks, shape)
-        timings["simulate_s"] = 0.0
-        t0 = time.perf_counter()
-        # closing ends the stream, and with it any open dump, on failure
-        with one_blas_thread() as blas_threads, closing(chunks):
-            gram, n_blocks = est.accumulate_gram(_timed(chunks, timings, "simulate_s"))
-        timings["gram_s"] = time.perf_counter() - t0 - timings["simulate_s"]
-
-        t0 = time.perf_counter()
-        rec, spec = est.spectrum_from_gram(
-            design, gram, n_blocks, cfg.noise_mode, cfg.noise_variance
+            dump = out / "compressed_blocks.bin"
+            written.append(dump)
+        rec, spec, detections, blas_threads = _estimate(
+            cfg, resolved.design, timings, dump
         )
-        detections = est.find_peaks(spec, cfg.peak_threshold)
-        timings["estimate_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        written += _spectrum_csvs(out, spec)
-        report = {
-            "config": _config_echo(cfg),
-            "gates": resolved.gates,
-            "certificates": resolved.certificates,
-            "cost": predicted_cost(cfg),
-            "draw_threads": _draw_threads(cfg),
+        _spectrum_csvs(out, spec, written)
+        report = _design_record(cfg, resolved) | {
             "blas_threads": blas_threads,
             "sigma_n_hat": rec.sigma_n_hat,
             "noise_path": rec.noise_path,
@@ -591,13 +556,42 @@ def run_scenario(
         with open(report_path, "w") as fh:
             json.dump(report, fh, indent=2)
         return report
-    except Exception:
+    except Exception as exc:
         for p in written:
             try:
                 os.unlink(p)
             except OSError:
                 pass
+        # only the writes do I/O, and the last path listed is the one open
+        if isinstance(exc, OSError) and written:
+            raise ConfigError(f"cannot write {written[-1]}: {exc.strerror or exc}")
         raise
+
+
+def _estimate(cfg: ScenarioConfig, design: est.Design, timings: dict, dump=None):
+    """The one estimation path of run and sweep: fold the simulated
+    chunks into a Gram on one BLAS thread (writing them to ``dump`` as
+    they pass, when given), solve it and find the peaks.  Sets
+    ``timings``' simulate_s, gram_s and estimate_s; returns (rec, spec,
+    detections, blas_threads)."""
+    chunks = _simulated_chunks(cfg, design)
+    if dump is not None:
+        shape = (cfg.n_blocks, design.geometry.m_active, design.pattern.m_t)
+        chunks = dump_chunks(dump, chunks, shape)
+    timings["simulate_s"] = 0.0
+    t0 = time.perf_counter()
+    # closing ends the stream, and with it any open dump, on failure
+    with one_blas_thread() as blas_threads, closing(chunks):
+        gram, n_blocks = est.accumulate_gram(_timed(chunks, timings, "simulate_s"))
+    timings["gram_s"] = time.perf_counter() - t0 - timings["simulate_s"]
+
+    t0 = time.perf_counter()
+    rec, spec = est.spectrum_from_gram(
+        design, gram, n_blocks, cfg.noise_mode, cfg.noise_variance
+    )
+    detections = est.find_peaks(spec, cfg.peak_threshold)
+    timings["estimate_s"] = time.perf_counter() - t0
+    return rec, spec, detections, blas_threads
 
 
 def _output_dir(cfg: ScenarioConfig, override: Optional[str]) -> Path:
@@ -639,11 +633,25 @@ def _timed(items, timings: dict, key: str):
 
 def run_certify(cfg: ScenarioConfig) -> dict:
     """Design checks only, every gate record kept, and the predicted cost
-    of a run with its draw threads; no simulation, nothing written.
-    ``certificates`` is None when no design exists."""
-    resolved = resolve(cfg)
+    of a run with its draw threads; no simulation, nothing written."""
+    return _design_record(cfg, resolve(cfg))
+
+
+def _design_record(cfg: ScenarioConfig, resolved: Resolution) -> dict:
+    """What certify reports and a run's report begins with: the
+    configuration, every gate record, the certificates (None when no
+    design exists), the predicted cost and the draw threads."""
+    sources = [
+        {
+            "doa_deg": float(np.degrees(s.true_doa)),
+            "band_lo_pi": s.band[0] / np.pi,
+            "band_hi_pi": s.band[1] / np.pi,
+            "variance": s.input_variance,
+        }
+        for s in cfg.sources
+    ]
     return {
-        "config": _config_echo(cfg),
+        "config": asdict(cfg) | {"sources": sources},
         "gates": resolved.gates,
         "certificates": resolved.certificates,
         "cost": predicted_cost(cfg),
@@ -658,7 +666,8 @@ def run_sweep(
     seeds: Sequence[int],
     output_dir: Optional[str] = None,
 ) -> Path:
-    """One pipeline run per (value, seed); consolidated error metrics.
+    """One run per (value, seed), estimated as run_scenario estimates it;
+    consolidated error metrics.
 
     ``param`` is one of SWEEP_PARAMS.  Per run the CSV records the
     relative error of the recovered per-angle lag matrix against the
@@ -682,24 +691,23 @@ def run_sweep(
             require_gates(resolved.gates)
             jobs.append((value, seed, sub, resolved.design))
     out = _output_dir(cfg, output_dir)
-    results = [
-        (value, seed) + _sweep_metrics(sub, design) for value, seed, sub, design in jobs
-    ]
-
-    path = out / "sweep.csv"
     rows = [["param", "value", "seed", "rs_rel_error", "sigma_rel_error", "detection_rate"]]
-    rows += [[param, v, s, _fmt(e), _fmt(se), _fmt(dr)] for v, s, e, se, dr in results]
-    _write_csv(path, rows)
+    rows += [
+        [param, value, seed, *_sweep_metrics(sub, design)]
+        for value, seed, sub, design in jobs
+    ]
+    path = out / "sweep.csv"
+    try:
+        _write_csv(path, rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
     return path
 
 
 def _sweep_metrics(cfg: ScenarioConfig, design: est.Design):
+    """A sweep run's scores, from the estimate run_scenario makes."""
+    rec, _, detections, _ = _estimate(cfg, design, {})
     grid = design.grid
-    with one_blas_thread(), closing(_simulated_chunks(cfg, design)) as chunks:
-        gram, n_blocks = est.accumulate_gram(chunks)
-    rec, spec = est.spectrum_from_gram(
-        design, gram, n_blocks, cfg.noise_mode, cfg.noise_variance
-    )
     try:
         truth = place_on_grid(cfg.sources, grid, cfg.n_t)
         rs_err = float(
@@ -712,7 +720,6 @@ def _sweep_metrics(cfg: ScenarioConfig, design: est.Design):
         if cfg.noise_variance > 0
         else float("nan")
     )
-    detections = est.find_peaks(spec, cfg.peak_threshold)
     sines = np.sin(grid.angles)
     hits = 0
     for src in cfg.sources:
@@ -721,20 +728,6 @@ def _sweep_metrics(cfg: ScenarioConfig, design: est.Design):
             hits += 1
     rate = hits / len(cfg.sources) if cfg.sources else float("nan")
     return rs_err, float(sigma_err), float(rate)
-
-
-def _config_echo(cfg: ScenarioConfig) -> dict:
-    echo = asdict(cfg)
-    echo["sources"] = [
-        {
-            "doa_deg": float(np.degrees(s.true_doa)),
-            "band_lo_pi": s.band[0] / np.pi,
-            "band_hi_pi": s.band[1] / np.pi,
-            "variance": s.input_variance,
-        }
-        for s in cfg.sources
-    ]
-    return echo
 
 
 def _detection_record(d: est.Detection) -> dict:

@@ -1,12 +1,16 @@
 """The benchmark harness calls and traces package functions by name; each
-name must still exist in ``jafs``.  The harness files are read as source,
-never imported."""
+name must still exist in ``jafs``, and the spans its metrics read must
+still be reached as it reads them.  The harness files are read as
+source, never imported."""
 
 import ast
 import importlib
 from pathlib import Path
 
+from jafs import scenario
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SMOKE = PERFBENCH.parent / "scenarios" / "smoke.scenario"
 MODULES = ("simulate", "estimate", "model", "scenario")
 
 
@@ -41,3 +45,29 @@ def test_benchmark_names_exist():
         if not hasattr(importlib.import_module(f"jafs.{module}"), name)
     ]
     assert missing == []
+
+
+def test_sweep_calls_sweep_metrics_once_per_job(tmp_path, monkeypatch):
+    # scenario.sweep_busy_ratio is the time spent in this span
+    calls = []
+    orig = scenario._sweep_metrics
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(scenario, "_sweep_metrics", counted)
+    cfg = scenario.load_scenario(SMOKE)
+    scenario.run_sweep(cfg, "n_blocks", [100, 200], [0, 1], output_dir=str(tmp_path))
+    assert len(calls) == 4
+
+
+def test_run_scenario_does_not_call_run_certify(tmp_path, monkeypatch):
+    # run_certify is a design span: a run calling it would count its
+    # design twice in scenario.design_s
+    def no_certify(cfg):
+        raise AssertionError("run_scenario called run_certify")
+
+    monkeypatch.setattr(scenario, "run_certify", no_certify)
+    report = scenario.run_scenario(scenario.load_scenario(SMOKE), output_dir=str(tmp_path))
+    assert report["detections"]

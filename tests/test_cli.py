@@ -391,6 +391,23 @@ def test_sweep_csv_does_not_depend_on_the_worker_count(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_sweep_rows_score_the_run_of_their_value_and_seed(tmp_path):
+    cfg = load_scenario(SMOKE)
+    path = run_sweep(cfg, "n_blocks", [300, 1000], [0, 1], output_dir=str(tmp_path))
+    sines = np.sin(scenario.grid_of(cfg).angles)
+    cells = [int(np.argmin(np.abs(sines - np.sin(s.true_doa)))) for s in cfg.sources]
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [r[1:3] for r in rows] == [["300", "0"], ["300", "1"], ["1000", "0"], ["1000", "1"]]
+    for _, value, seed, _, sigma_err, rate in rows:
+        run = replace(cfg, n_blocks=int(value))
+        report = run_scenario(run, output_dir=str(tmp_path / "run"), seed=int(seed))
+        sigma = report["sigma_n_hat"]
+        assert float(sigma_err) == abs(sigma - cfg.noise_variance) / cfg.noise_variance
+        found = [d["grid_index"] for d in report["detections"]]
+        hits = sum(any(abs(f - cell) <= 1 for f in found) for cell in cells)
+        assert float(rate) == hits / len(cells)
+
+
 def test_sweep_empty_values_header_only(tmp_path):
     cfg = load_scenario(SMOKE)
     path = run_sweep(cfg, "n_blocks", [], [0], output_dir=str(tmp_path))
@@ -633,6 +650,8 @@ ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
         # [DEFAULT] keys are keys of every section
         ("[geometry]", "[DEFAULT]\nseed = 0\n\n[geometry]", 2,
          "[geometry] unknown key 'seed'"),
+        # values are literal: no interpolation reads [run] seed here
+        ("n_blocks = 500", "n_blocks = %(seed)s", 2, "is not an integer"),
     ],
     ids=[
         "band-0.1pi",
@@ -650,6 +669,7 @@ ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
         "source-doa",
         "section-nosie",
         "default-seed",
+        "n_blocks-interpolated",
     ],
 )
 def test_cli_commands_agree_before_simulating(
@@ -716,6 +736,32 @@ def test_cli_unusable_path_exits_2(tmp_path, capsys, monkeypatch, args):
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_percent_in_a_value_is_read_literally(tmp_path):
+    path = smoke_copy(tmp_path, "output_dir = out/smoke", "output_dir = out%x")
+    assert load_scenario(path).output_dir == "out%x"
+
+
+@pytest.mark.parametrize(
+    "command, blocked, extra",
+    [
+        ("run", "spectrum_plot.csv", ""),
+        ("run", "compressed_blocks.bin", "dump_snapshots = true\n"),
+        ("sweep", "sweep.csv", ""),
+    ],
+    ids=["run-csv", "run-dump", "sweep-csv"],
+)
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, blocked, extra):
+    path = write_scenario(tmp_path, SMOKE.read_text() + extra)
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    assert main(cli_args(command, path, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: cannot write {out / blocked}: " in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    # a run removes the outputs it wrote before the failed one
+    assert [p.name for p in out.iterdir()] == [blocked]
 
 
 # a value just outside each (bounds, type) of the scenario key table
