@@ -5,7 +5,9 @@ Stages, in data-flow order:
 1. block_gram: the summed Gram of the flattened compressed blocks,
    the one interface between data and estimator.  accumulate_gram folds
    simulated chunks into it one at a time, so memory does not grow with
-   N_n; pair_vectors divides by N_n and reshapes it into the averaged
+   N_n: each chunk's Gram is a product in the blocks' own precision
+   (complex64 from the simulator), added into a complex128 sum.
+   pair_vectors divides by N_n and reshapes it into the averaged
    vec(z_i z_j^H) of every ordered antenna pair (pair_correlations does
    both for blocks held in memory).
 2. recover_lags: the 2N_t-1 uncompressed lags of every antenna pair
@@ -46,7 +48,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .model import AngularGrid, ArrayGeometry, ManifoldMatrices, manifold_and_kr
-from .simulate import CosetPattern, SnapshotBlocks
+from .simulate import CosetPattern, SnapshotBlocks, chunk_blocks
 
 
 class RankDeficiencyError(RuntimeError):
@@ -169,16 +171,22 @@ def block_gram(blocks: np.ndarray) -> np.ndarray:
 
 def accumulate_gram(chunks: Iterable[np.ndarray]):
     """Fold (blocks, M_s, M_t) chunks into one running block_gram;
-    returns (gram, block count).  Only one chunk is held at a time."""
+    returns (gram, block count).  Only one chunk is held at a time.
+    Each chunk's Gram is computed in the chunk's precision and summed in
+    complex128, so rounding does not build up over the chunks.  Raises
+    ValueError when the sum is not finite, as when a chunk's complex64
+    products overflow (block values of order 1e17 and up)."""
     gram, n_blocks = None, 0
     for chunk in chunks:
         if gram is None:
-            gram = block_gram(chunk)
+            gram = block_gram(chunk).astype(np.complex128)
         else:
             gram += block_gram(chunk)
         n_blocks += chunk.shape[0]
     if gram is None:
         raise ValueError("no blocks to correlate")
+    if not np.isfinite(gram).all():
+        raise ValueError("the blocks' Gram is not finite")
     return gram, n_blocks
 
 
@@ -442,11 +450,12 @@ def spectrum_from_blocks(
     noise_mode: str,
     noise_variance: float,
 ):
-    """spectrum_from_gram over blocks held in memory."""
+    """spectrum_from_gram over blocks held in memory, folded as a run
+    folds block_chunks' chunks, so both give the same Gram."""
     z = blocks.blocks
-    return spectrum_from_gram(
-        design, block_gram(z), z.shape[0], noise_mode, noise_variance
-    )
+    per = chunk_blocks(design.pattern.n_t)
+    gram, n_blocks = accumulate_gram(z[i : i + per] for i in range(0, len(z), per))
+    return spectrum_from_gram(design, gram, n_blocks, noise_mode, noise_variance)
 
 
 @dataclass(frozen=True)

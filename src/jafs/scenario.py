@@ -478,11 +478,11 @@ def design_certificates(design: est.Design) -> dict:
     }
 
 
-def _write_csv(path: Path, rows) -> None:
-    """Rows of Python strings and numbers, each cell as its str (for a
-    float, the shortest decimal that reads back to it)."""
-    with open(path, "w") as fh:
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+def _write_csv(fh, rows) -> None:
+    """Rows of Python strings and numbers to the open file ``fh``, each
+    cell as its str (for a float, the shortest decimal that reads back
+    to it)."""
+    fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _spectrum_csvs(out: Path, spec: est.SpectrumMatrix, written: list) -> None:
@@ -500,7 +500,8 @@ def _spectrum_csvs(out: Path, spec: est.SpectrumMatrix, written: list) -> None:
     for name, (header, values) in tables.items():
         written.append(out / name)
         rows = ([a, *row] for a, row in zip(angles_deg, values.tolist()))
-        _write_csv(out / name, [["angle_deg", *header], *rows])
+        with open(out / name, "w") as fh:
+            _write_csv(fh, [["angle_deg", *header], *rows])
 
 
 def run_scenario(
@@ -674,10 +675,13 @@ def run_sweep(
     closed-form one (NaN when any source is off-grid, where exact truth
     is undefined), the noise-power error, and the fraction of true
     sources matched by a detection within one grid cell.  Every run's
-    design is resolved, and its gates required, before any run starts;
-    runs then execute one after another, in job order, each drawing its
-    streams on the config's worker count (see block_chunks) and folding
-    them into its Gram on one BLAS thread (one_blas_thread).
+    design is resolved, and its gates required, and sweep.csv opened,
+    before any run starts, so an output that cannot be written raises
+    ConfigError before any simulation; runs then execute one after
+    another, in job order, each drawing its streams on the config's
+    worker count (see block_chunks) and folding them into its Gram on
+    one BLAS thread (one_blas_thread).  The rows are written after the
+    last run; a failed run removes sweep.csv.
     """
     if param not in SWEEP_PARAMS:
         params = " or ".join(SWEEP_PARAMS)
@@ -690,17 +694,25 @@ def run_sweep(
             resolved = resolve(sub)
             require_gates(resolved.gates)
             jobs.append((value, seed, sub, resolved.design))
-    out = _output_dir(cfg, output_dir)
-    rows = [["param", "value", "seed", "rs_rel_error", "sigma_rel_error", "detection_rate"]]
-    rows += [
-        [param, value, seed, *_sweep_metrics(sub, design)]
-        for value, seed, sub, design in jobs
-    ]
-    path = out / "sweep.csv"
+    header = ["param", "value", "seed", "rs_rel_error", "sigma_rel_error", "detection_rate"]
+    path = _output_dir(cfg, output_dir) / "sweep.csv"
     try:
-        _write_csv(path, rows)
+        fh = open(path, "w")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+    try:
+        with fh:
+            rows = [
+                [param, value, seed, *_sweep_metrics(sub, design)]
+                for value, seed, sub, design in jobs
+            ]
+            _write_csv(fh, [header, *rows])
+    except BaseException as exc:
+        path.unlink(missing_ok=True)
+        # the runs do no I/O, so an OSError is the write's
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+        raise
     return path
 
 

@@ -21,6 +21,14 @@ the way.  A run folds under one_blas_thread: the calling thread's FIRs,
 steering and Gram updates run on one BLAS thread, and the draw pool
 holds the other CPUs.
 
+Precision: the normals are drawn in float64 and scaled in float64, then
+rounded once to BLOCK_DTYPE (complex64); the tap matrices, steering,
+FIR outputs and blocks are complex64, and estimate.accumulate_gram sums
+each chunk's complex64 Gram into a complex128 one.  The estimator's
+error is set by the block count (sampling error near 0.2 relative on
+the flagship), far above float32 rounding.  Blocks must lie within
+float32 range: a value past it is not finite and raises.
+
 Seeding gives every source its own named stream, every antenna of the
 underlying ULA its own noise stream keyed by its mark, and one stream to
 the random extra coset rows.  Only the active antennas' noise streams are
@@ -61,6 +69,9 @@ _STREAM_COSET = 3
 _CHUNK_SAMPLES = 1 << 14
 
 _SNAP_MAGIC = b"JAFSSNAP"
+
+# element type of every block block_chunks yields; the draws are float64
+BLOCK_DTYPE = np.dtype(np.complex64)
 
 # name prefix of block_chunks' draw threads
 DRAW_THREAD_PREFIX = "jafs-draw"
@@ -194,7 +205,7 @@ def _tap_matrix(taps: np.ndarray, columns: Sequence[int], n_t: int) -> np.ndarra
     white inputs from the block's first sample on (the N_t-1 inputs past
     the block feed its late outputs).  Output r of a block is
     sum_m taps[m] * window[r + N_t-1 - m]."""
-    H = np.zeros((2 * n_t - 1, len(columns)), dtype=complex)
+    H = np.zeros((2 * n_t - 1, len(columns)), dtype=taps.dtype)
     for c, r in enumerate(columns):
         H[r : r + n_t, c] = taps[::-1]
     return H
@@ -327,8 +338,12 @@ def block_chunks(
     workers: Optional[int] = None,
 ) -> Iterator[np.ndarray]:
     """The one simulator: N_n blocks as the sampler sees them, in chunks
-    of chunk_blocks(N_t) blocks, each a fresh (blocks, M_s, M_t) array of
-    the active antenna rows (mark order) and coset columns (row order).
+    of chunk_blocks(N_t) blocks, each a fresh (blocks, M_s, M_t)
+    BLOCK_DTYPE (complex64) array of the active antenna rows (mark order)
+    and coset columns (row order).  The normals are drawn into float64
+    buffers and scaled there, then rounded once to complex64; the FIRs
+    and the steering run in complex64, and estimate.accumulate_gram sums
+    their Gram in complex128.
 
     Block n holds the ULA samples n*N_t .. (n+1)*N_t - 1.  Source k
     contributes steering_vector(theta_k) times its FIR-filtered white
@@ -368,31 +383,41 @@ def block_chunks(
         else []
     )
     # (M_s, K): one steering column per source
-    steer = np.array([steering_vector(s.true_doa, geometry.positions) for s in sources]).T
+    steer = np.array(
+        [steering_vector(s.true_doa, geometry.positions) for s in sources]
+    ).T.astype(BLOCK_DTYPE)
     # per source: stream, input scale, tap matrix, input window buffer
     # whose last N_t-1 samples carry over to the next chunk
     feeds = [
         (
             source_rng(master_seed, k),
             np.sqrt(spec.input_variance / 2.0),
-            _tap_matrix(design_bandpass(spec.band, n_t), cols, n_t),
-            np.empty(span + n_t - 1, dtype=complex),
+            _tap_matrix(design_bandpass(spec.band, n_t).astype(BLOCK_DTYPE), cols, n_t),
+            np.empty(span + n_t - 1, dtype=BLOCK_DTYPE),
         )
         for k, spec in enumerate(sources)
     ]
-    filtered = np.empty((len(sources), per, m_t), dtype=complex)
-    # each draw thread's (blocks, N_t) buffer for one antenna's noise
+    filtered = np.empty((len(sources), per, m_t), dtype=BLOCK_DTYPE)
+    # each draw thread's complex128 buffers: the normals are drawn and
+    # scaled in float64, then rounded once into the complex64 blocks
     local = threading.local()
 
+    def thread_buffer(name, shape):
+        buf = getattr(local, name, None)
+        if buf is None:
+            buf = np.empty(shape, dtype=complex)
+            setattr(local, name, buf)
+        return buf
+
     def draw_noise(chunk, i, rng):
-        noise = getattr(local, "noise", None)
-        if noise is None:
-            noise = local.noise = np.empty((per, n_t), dtype=complex)
+        noise = thread_buffer("noise", (per, n_t))
+        kept = thread_buffer("kept", (per, m_t))
         rng.standard_normal(out=noise.view(np.float64))
-        row = chunk[:, i, :]
-        # mode="clip" writes straight into the row; "raise" buffers out
-        np.take(noise, cols, axis=1, out=row, mode="clip")
-        row *= noise_scale
+        # mode="clip" writes straight into kept; "raise" buffers out.
+        # The take does not cast: a cast in np.take on these threads
+        # emits spurious "invalid value" warnings, the multiply's does not
+        np.take(noise, cols, axis=1, out=kept, mode="clip")
+        np.multiply(kept, noise_scale, out=chunk[:, i, :])
 
     def draw_source(rng, scale, white, first):
         if first:
@@ -400,13 +425,14 @@ def block_chunks(
         else:
             white[: n_t - 1] = white[span:]
             fresh = white[n_t - 1 :]
-        rng.standard_normal(out=fresh.view(np.float64))
-        fresh *= scale
+        normals = thread_buffer("source", len(white))[: len(fresh)]
+        rng.standard_normal(out=normals.view(np.float64))
+        np.multiply(normals, scale, out=fresh)
 
     def start_chunk():
         if not noise_rngs:
-            return np.zeros((per, m_s, m_t), dtype=complex), []
-        chunk = np.empty((per, m_s, m_t), dtype=complex)
+            return np.zeros((per, m_s, m_t), dtype=BLOCK_DTYPE), []
+        chunk = np.empty((per, m_s, m_t), dtype=BLOCK_DTYPE)
         return chunk, [
             pool.submit(draw_noise, chunk, i, rng) for i, rng in enumerate(noise_rngs)
         ]
@@ -467,22 +493,30 @@ def block_buffer_bytes(
     caller that holds one chunk while the next is made (as
     estimate.accumulate_gram does); independent of N_n.
 
-    Three (blocks, M_s, M_t) chunks: the caller's, the one being
-    finished and the one whose noise is drawn ahead.  Per source: its
-    input buffer of one chunk plus N_t-1 samples, its (2N_t-1, M_t) tap
-    matrix and its filtered (blocks, M_t) outputs.  Per draw thread that
-    draws noise: a (blocks, N_t) buffer.  The steering matrix.  Plus the
-    larger of the two temporaries on the calling thread: a FIR's two
-    (blocks, M_t) products, or the steered (M_s, blocks*M_t) product.
+    In BLOCK_DTYPE (8 bytes per value): three (blocks, M_s, M_t) chunks,
+    the caller's, the one being finished and the one whose noise is
+    drawn ahead; per source, its input buffer of one chunk plus N_t-1
+    samples, its (2N_t-1, M_t) tap matrix and its filtered (blocks, M_t)
+    outputs; the steering matrix; and the larger of the two temporaries
+    on the calling thread, a FIR's two (blocks, M_t) products or the
+    steered (M_s, blocks*M_t) product.  In complex128 (16 bytes), the
+    float64 draws: per draw thread that draws noise, a (blocks, N_t)
+    buffer and the (blocks, M_t) columns taken from it; per draw thread
+    that draws source inputs, a buffer of one chunk plus N_t-1 samples.
     """
+    value, drawn = BLOCK_DTYPE.itemsize, np.dtype(complex).itemsize
     per = chunk_blocks(n_t)
-    chunk = 16 * per * m_active * m_t
-    per_source = 16 * ((per + 1) * n_t - 1 + (2 * n_t - 1) * m_t + per * m_t)
-    noise = 16 * per * n_t * min(threads, m_active) if noisy else 0
+    window = (per + 1) * n_t - 1
+    chunk = value * per * m_active * m_t
+    per_source = value * (window + (2 * n_t - 1) * m_t + per * m_t)
+    noise = drawn * per * (n_t + m_t) * min(threads, m_active) if noisy else 0
+    source_draws = drawn * window * min(threads, n_sources)
     # without sources the largest temporary is np.isfinite's mask
-    temporary = max(2 * 16 * per * m_t, chunk) if n_sources else chunk // 16
-    steer = 16 * m_active * n_sources
-    return 3 * chunk + n_sources * per_source + noise + steer + temporary
+    temporary = max(2 * value * per * m_t, chunk) if n_sources else chunk // value
+    steer = value * m_active * n_sources
+    return (
+        3 * chunk + n_sources * per_source + noise + source_draws + steer + temporary
+    )
 
 
 def compressed_blocks(
@@ -493,8 +527,9 @@ def compressed_blocks(
     n_blocks: int,
     master_seed: int,
 ) -> SnapshotBlocks:
-    """All of block_chunks' chunks in one array, shape (N_n, M_s, M_t)."""
-    out = np.empty((n_blocks, geometry.m_active, pattern.m_t), dtype=complex)
+    """All of block_chunks' chunks in one complex64 array, shape (N_n,
+    M_s, M_t)."""
+    out = np.empty((n_blocks, geometry.m_active, pattern.m_t), dtype=BLOCK_DTYPE)
     start = 0
     for chunk in block_chunks(
         sources, geometry, pattern, noise_variance, n_blocks, master_seed
@@ -569,15 +604,17 @@ def build_coset_pattern(
 def write_snapshots(path, snapshots: SnapshotBlocks) -> None:
     """Binary dump: 32-byte little-endian header (8-byte magic, then
     uint64 rows, columns, block count) followed by complex128 block data,
-    row-major per block (interleaved re/im float64)."""
+    row-major per block (interleaved re/im float64).  Simulated blocks
+    are complex64; the dump holds their exact widening."""
     for _ in dump_chunks(path, (snapshots.blocks,), snapshots.shape):
         pass
 
 
 def dump_chunks(path, chunks: Iterable[np.ndarray], shape: tuple) -> Iterator[np.ndarray]:
     """Pass block chunks through unchanged while writing them to ``path``
-    in write_snapshots' format; ``shape`` is the (N_n, rows, columns) of
-    all chunks together, written to the header up front."""
+    in write_snapshots' format, widened to complex128; ``shape`` is the
+    (N_n, rows, columns) of all chunks together, written to the header
+    up front."""
     n_blocks, rows, cols = shape
     with open(path, "wb") as fh:
         fh.write(_SNAP_MAGIC + struct.pack("<QQQ", rows, cols, n_blocks))

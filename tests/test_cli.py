@@ -336,12 +336,14 @@ def test_run_scenario_memory_flat_in_block_count(tmp_path):
 def test_simulator_memory_is_flat_and_within_the_prediction():
     # block_chunks holds three chunks at most (the caller's, the one being
     # finished, the one drawn ahead), whatever the block count; the Gram
-    # adds its own temporaries: a conjugated chunk and two D x D matrices
+    # adds its own temporaries: a conjugated chunk, a chunk's D x D Gram
+    # in the blocks' type and the running sum in complex128
     cfg = replace(load_scenario(SMOKE), workers=2)
     per = simulate.chunk_blocks(cfg.n_t)
     d = len(cfg.marks) * cfg.m_t
-    chunk_bytes = 16 * per * d
-    gram_temporaries = chunk_bytes + 2 * 16 * d * d
+    value = simulate.BLOCK_DTYPE.itemsize
+    chunk_bytes = value * per * d
+    gram_temporaries = chunk_bytes + (value + np.dtype(np.complex128).itemsize) * d * d
     peaks = {}
     for n_chunks in (2, 16):
         sub = replace(cfg, n_blocks=n_chunks * per)
@@ -414,6 +416,23 @@ def test_sweep_empty_values_header_only(tmp_path):
     assert path.read_text().splitlines() == [
         "param,value,seed,rs_rel_error,sigma_rel_error,detection_rate"
     ]
+
+
+def test_failed_sweep_run_leaves_no_sweep_csv(tmp_path, monkeypatch):
+    orig = scenario._sweep_metrics
+    runs = []
+
+    def fail_on_second_run(*args):
+        runs.append(args)
+        if len(runs) == 2:
+            raise RuntimeError("run failed")
+        return orig(*args)
+
+    monkeypatch.setattr(scenario, "_sweep_metrics", fail_on_second_run)
+    with pytest.raises(RuntimeError, match="run failed"):
+        run_sweep(load_scenario(SMOKE), "n_blocks", [100], [0, 1], output_dir=str(tmp_path))
+    assert len(runs) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_unknown_param(tmp_path):
@@ -752,10 +771,15 @@ def test_percent_in_a_value_is_read_literally(tmp_path):
     ],
     ids=["run-csv", "run-dump", "sweep-csv"],
 )
-def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, blocked, extra):
+def test_output_that_cannot_be_written_exits_2(
+    tmp_path, capsys, monkeypatch, command, blocked, extra
+):
     path = write_scenario(tmp_path, SMOKE.read_text() + extra)
     out = tmp_path / "o"
     (out / blocked).mkdir(parents=True)
+    if command == "sweep":
+        # a sweep opens its CSV before the first run
+        forbid_simulation(monkeypatch)
     assert main(cli_args(command, path, tmp_path)) == 2
     captured = capsys.readouterr()
     assert f"configuration error: cannot write {out / blocked}: " in captured.err

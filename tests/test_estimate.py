@@ -641,6 +641,49 @@ def test_streamed_gram_matches_blocks_path():
     assert rec.sigma_n_hat == pytest.approx(ref_rec.sigma_n_hat, rel=1e-12)
 
 
+def test_complex64_blocks_fold_into_a_complex128_gram():
+    # the blocks are complex64 and each chunk's Gram is a complex64
+    # product, summed in complex128; folding the same chunks widened to
+    # complex128 moves the smoke spectrum by float32 rounding only
+    cfg = load_scenario(SMOKE)
+    design = resolve(cfg).design
+    n_blocks = 3 * chunk_blocks(cfg.n_t) + 11
+    chunks = list(
+        block_chunks(
+            cfg.sources,
+            design.geometry,
+            design.pattern,
+            cfg.noise_variance,
+            n_blocks,
+            cfg.master_seed,
+        )
+    )
+    assert {c.dtype for c in chunks} == {np.dtype(np.complex64)}
+    narrow = accumulate_gram(chunks)
+    wide = accumulate_gram(c.astype(np.complex128) for c in chunks)
+    assert narrow[0].dtype == wide[0].dtype == np.complex128
+    assert narrow[1] == wide[1] == n_blocks
+    (_, got), (_, ref) = (
+        spectrum_from_gram(design, *gram, cfg.noise_mode, cfg.noise_variance)
+        for gram in (narrow, wide)
+    )
+    scale = np.abs(ref.values).max()
+    assert np.abs(got.values - ref.values).max() <= 1e-5 * scale
+    detections = [
+        [(d.grid_index, d.rows, d.bands) for d in find_peaks(spec, cfg.peak_threshold)]
+        for spec in (got, ref)
+    ]
+    assert detections[0] == detections[1] and detections[0]
+
+
+def test_accumulate_gram_rejects_an_overflowed_gram():
+    # finite complex64 blocks whose products pass float32 range
+    chunk = np.full((4, 2, 3), 1e20, dtype=np.complex64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            accumulate_gram([chunk])
+
+
 def test_accumulate_gram_rejects_no_blocks():
     with pytest.raises(ValueError):
         accumulate_gram(iter(()))
