@@ -46,11 +46,13 @@ builds and certifies the design for run, certify and sweep alike, before
 anything is simulated: certify reports every gate record, run and sweep
 stop on the first failed hard one; certify's report opens a run's.  A
 run and each sweep run estimate through one path, _estimate: it folds
-the run's chunks into its Gram on one BLAS thread, solves it and finds
-the peaks.  A sweep runs its jobs one after another; the worker count
-sets the threads that draw each run's random streams.  resolve refuses,
-as a bad value, a run whose predicted work exceeds MAX_COMPLEX_NORMALS
-or MAX_GRAM_FLOPS.  Hard gates:
+the run's chunks into its Gram, solves it and finds the peaks.  Run,
+sweep and certify each hold one_blas_thread from resolve on, so every
+BLAS call they make runs on one thread.  A sweep runs its jobs one
+after another; the worker count sets the threads that draw each run's
+random streams.  resolve refuses, as a bad value, variances summing
+past MAX_TOTAL_VARIANCE and a run whose predicted work exceeds
+MAX_COMPLEX_NORMALS or MAX_GRAM_FLOPS.  Hard gates:
 temporal-overdetermination (M_t**2 >= 2*N_t - 1, else the lag system is
 underdetermined); band-resolution (every source band at least 2*pi/N_t
 wide, all the N_t-tap source filters resolve); coset-ruler-cardinality
@@ -94,6 +96,7 @@ from .simulate import (
     block_buffer_bytes,
     block_chunks,
     build_coset_pattern,
+    chunk_blocks,
     draw_threads,
     dump_chunks,
     normals_drawn,
@@ -105,6 +108,24 @@ WORKERS_ENV = "JAFS_WORKERS"
 # the most work resolve admits in one run, about 10^5 flagship runs
 MAX_COMPLEX_NORMALS = 10 ** 12
 MAX_GRAM_FLOPS = 10 ** 15
+
+MAX_TOTAL_VARIANCE = float(np.finfo(np.float32).max) / (64 * chunk_blocks(1))
+"""The largest sum of a scenario's variances, its sources' and its
+noise's, that resolve admits: about 3.2e32.
+
+A block entry z is the steered sum of the sources' FIR outputs plus the
+antenna's noise.  Each FIR passes at most its input's power (unit gain
+at band centre, sum |h|**2 <= 1), the steering has unit modulus and the
+streams are independent, so E|z|**2 is at most the variance sum.  A
+chunk's complex64 Gram adds |z|**2 over the chunk's blocks on its
+diagonal, and its off-diagonal partial sums are bounded by the
+diagonal's (Cauchy-Schwarz), so no partial sum exceeds chunk_blocks
+blocks times the largest |z|**2.  chunk_blocks(N_t) is at most
+chunk_blocks(1), the most blocks any chunk holds.  With the sum at the
+bound, a chunk's Gram reaches float32's largest value only when its
+blocks' power averages 64 times its mean, for one block a chance of
+e**-64; the blocks themselves, near sqrt(3.2e32) = 1.8e16, lie far
+inside float32 range."""
 
 
 class ConfigError(ValueError):
@@ -392,9 +413,10 @@ def resolve(cfg: ScenarioConfig) -> Resolution:
     front door of run, certify and sweep.  Failed gates are recorded, not
     raised; a value out of range, however it was set, and a configuration
     that describes no geometry, grid or coset pattern raise ConfigError,
-    and so does one whose predicted_cost exceeds MAX_COMPLEX_NORMALS or
-    MAX_GRAM_FLOPS."""
+    and so does one whose variances sum past MAX_TOTAL_VARIANCE or whose
+    predicted_cost exceeds MAX_COMPLEX_NORMALS or MAX_GRAM_FLOPS."""
     _judge(vars(cfg))
+    _judge_variances(cfg)
     try:
         parts = geometry_of(cfg), grid_of(cfg), pattern_of(cfg)
     except CosetCardinalityError as exc:
@@ -423,6 +445,26 @@ def resolve(cfg: ScenarioConfig) -> Resolution:
         _gate_record("kr-rank", "hard", rank >= cfg.grid_q, kr_detail),
     ]
     return Resolution(gates, design, certs)
+
+
+def _judge_variances(cfg: ScenarioConfig) -> None:
+    """ConfigError naming the largest variance when the variances sum
+    past MAX_TOTAL_VARIANCE, where the float32 blocks' Gram can
+    overflow."""
+    variances = [s.input_variance for s in cfg.sources] + [cfg.noise_variance]
+    total = sum(variances)
+    if total <= MAX_TOTAL_VARIANCE:
+        return
+    largest = int(np.argmax(variances))
+    if largest == len(cfg.sources):
+        label = "[noise] variance"
+    else:
+        label = f"[source.N] variance (source {largest + 1} of {len(cfg.sources)})"
+    raise ConfigError(
+        f"{label} = {variances[largest]:.4g} is too large: the variances sum "
+        f"to {total:.4g}, past {MAX_TOTAL_VARIANCE:.4g}, where the float32 "
+        "blocks' Gram can overflow"
+    )
 
 
 def _draw_threads(cfg: ScenarioConfig) -> int:
@@ -513,11 +555,13 @@ def run_scenario(
     solve, export.  No block array is held beyond the chunks in flight.
 
     Writes spectrum CSVs, the angular marginal, and report.json into the
-    output directory; returns the report.  The random streams are drawn
-    one chunk ahead on ``draw_threads`` threads, while the calling thread
-    runs the FIRs, the steering and the Gram updates on ``blas_threads``
-    BLAS threads (one_blas_thread: 1, or None when numpy's BLAS cannot
-    be limited), so ``timings["simulate_s"]`` is the run's wait on the
+    output directory; returns the report.  The whole run, from resolve
+    to the export, holds one_blas_thread, whose count the report records
+    as ``blas_threads`` (1, or None when numpy's BLAS cannot be limited):
+    the design's SVDs, the FIRs, the steering, the Gram updates and the
+    solves all run on the calling thread's one BLAS thread, while the
+    random streams are drawn one chunk ahead on ``draw_threads``
+    threads.  ``timings["simulate_s"]`` is the run's wait on the
     simulator: the FIRs, the steering and any draw not yet done.
     ``timings["export_s"]`` covers writing the CSVs and assembling the
     report, not writing report.json, which holds it.  Partial outputs are
@@ -526,55 +570,55 @@ def run_scenario(
     """
     if seed is not None:
         cfg = _replace(cfg, master_seed=seed)
-    t0 = time.perf_counter()
-    resolved = resolve(cfg)
-    require_gates(resolved.gates)
-    timings = {"design_s": time.perf_counter() - t0}
-    out = _output_dir(cfg, output_dir)
-    written = []
-    try:
-        dump = None
-        if cfg.dump_snapshots:
-            dump = out / "compressed_blocks.bin"
-            written.append(dump)
-        rec, spec, detections, blas_threads = _estimate(
-            cfg, resolved.design, timings, dump
-        )
-
+    with one_blas_thread() as blas_threads:
         t0 = time.perf_counter()
-        _spectrum_csvs(out, spec, written)
-        report = _design_record(cfg, resolved) | {
-            "blas_threads": blas_threads,
-            "sigma_n_hat": rec.sigma_n_hat,
-            "noise_path": rec.noise_path,
-            "residual_norms": [float(r) for r in rec.residual_norms],
-            "detections": [_detection_record(d) for d in detections],
-            "timings": timings,
-        }
-        report_path = out / "report.json"
-        written.append(report_path)
-        timings["export_s"] = time.perf_counter() - t0
-        with open(report_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-        return report
-    except Exception as exc:
-        for p in written:
-            try:
-                os.unlink(p)
-            except OSError:
-                pass
-        # only the writes do I/O, and the last path listed is the one open
-        if isinstance(exc, OSError) and written:
-            raise ConfigError(f"cannot write {written[-1]}: {exc.strerror or exc}")
-        raise
+        resolved = resolve(cfg)
+        require_gates(resolved.gates)
+        timings = {"design_s": time.perf_counter() - t0}
+        out = _output_dir(cfg, output_dir)
+        written = []
+        try:
+            dump = None
+            if cfg.dump_snapshots:
+                dump = out / "compressed_blocks.bin"
+                written.append(dump)
+            rec, spec, detections = _estimate(cfg, resolved.design, timings, dump)
+
+            t0 = time.perf_counter()
+            _spectrum_csvs(out, spec, written)
+            report = _design_record(cfg, resolved) | {
+                "blas_threads": blas_threads,
+                "sigma_n_hat": rec.sigma_n_hat,
+                "noise_path": rec.noise_path,
+                "residual_norms": [float(r) for r in rec.residual_norms],
+                "detections": [_detection_record(d) for d in detections],
+                "timings": timings,
+            }
+            report_path = out / "report.json"
+            written.append(report_path)
+            timings["export_s"] = time.perf_counter() - t0
+            with open(report_path, "w") as fh:
+                json.dump(report, fh, indent=2)
+            return report
+        except Exception as exc:
+            for p in written:
+                try:
+                    os.unlink(p)
+                except OSError:
+                    pass
+            # only the writes do I/O, and the last path listed is the one open
+            if isinstance(exc, OSError) and written:
+                raise ConfigError(f"cannot write {written[-1]}: {exc.strerror or exc}")
+            raise
 
 
 def _estimate(cfg: ScenarioConfig, design: est.Design, timings: dict, dump=None):
     """The one estimation path of run and sweep: fold the simulated
-    chunks into a Gram on one BLAS thread (writing them to ``dump`` as
-    they pass, when given), solve it and find the peaks.  Sets
-    ``timings``' simulate_s, gram_s and estimate_s; returns (rec, spec,
-    detections, blas_threads)."""
+    chunks into a Gram (writing them to ``dump`` as they pass, when
+    given), solve it and find the peaks.  Its callers hold
+    one_blas_thread around it, so the fold and the solve run on one BLAS
+    thread.  Sets ``timings``' simulate_s, gram_s and estimate_s;
+    returns (rec, spec, detections)."""
     chunks = _simulated_chunks(cfg, design)
     if dump is not None:
         shape = (cfg.n_blocks, design.geometry.m_active, design.pattern.m_t)
@@ -582,7 +626,7 @@ def _estimate(cfg: ScenarioConfig, design: est.Design, timings: dict, dump=None)
     timings["simulate_s"] = 0.0
     t0 = time.perf_counter()
     # closing ends the stream, and with it any open dump, on failure
-    with one_blas_thread() as blas_threads, closing(chunks):
+    with closing(chunks):
         gram, n_blocks = est.accumulate_gram(_timed(chunks, timings, "simulate_s"))
     timings["gram_s"] = time.perf_counter() - t0 - timings["simulate_s"]
 
@@ -592,7 +636,7 @@ def _estimate(cfg: ScenarioConfig, design: est.Design, timings: dict, dump=None)
     )
     detections = est.find_peaks(spec, cfg.peak_threshold)
     timings["estimate_s"] = time.perf_counter() - t0
-    return rec, spec, detections, blas_threads
+    return rec, spec, detections
 
 
 def _output_dir(cfg: ScenarioConfig, override: Optional[str]) -> Path:
@@ -634,8 +678,10 @@ def _timed(items, timings: dict, key: str):
 
 def run_certify(cfg: ScenarioConfig) -> dict:
     """Design checks only, every gate record kept, and the predicted cost
-    of a run with its draw threads; no simulation, nothing written."""
-    return _design_record(cfg, resolve(cfg))
+    of a run with its draw threads; no simulation, nothing written.  Its
+    SVDs run on one BLAS thread (one_blas_thread), as a run's do."""
+    with one_blas_thread():
+        return _design_record(cfg, resolve(cfg))
 
 
 def _design_record(cfg: ScenarioConfig, resolved: Resolution) -> dict:
@@ -679,46 +725,50 @@ def run_sweep(
     before any run starts, so an output that cannot be written raises
     ConfigError before any simulation; runs then execute one after
     another, in job order, each drawing its streams on the config's
-    worker count (see block_chunks) and folding them into its Gram on
-    one BLAS thread (one_blas_thread).  The rows are written after the
-    last run; a failed run removes sweep.csv.
+    worker count (see block_chunks).  The whole sweep, every design and
+    every run's fold, solve and scoring, holds one_blas_thread, as
+    run_scenario does.  The rows are written after the last run; a
+    failed run removes sweep.csv.
     """
     if param not in SWEEP_PARAMS:
         params = " or ".join(SWEEP_PARAMS)
         raise ConfigError(f"sweep parameter must be {params}, got {param!r}")
-    # without a pinned coset seed the pattern depends on the run's seed
-    jobs = []
-    for value in values:
-        for seed in seeds:
-            sub = _replace(cfg, master_seed=seed, **{param: value})
-            resolved = resolve(sub)
-            require_gates(resolved.gates)
-            jobs.append((value, seed, sub, resolved.design))
-    header = ["param", "value", "seed", "rs_rel_error", "sigma_rel_error", "detection_rate"]
-    path = _output_dir(cfg, output_dir) / "sweep.csv"
-    try:
-        fh = open(path, "w")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
-    try:
-        with fh:
-            rows = [
-                [param, value, seed, *_sweep_metrics(sub, design)]
-                for value, seed, sub, design in jobs
-            ]
-            _write_csv(fh, [header, *rows])
-    except BaseException as exc:
-        path.unlink(missing_ok=True)
-        # the runs do no I/O, so an OSError is the write's
-        if isinstance(exc, OSError):
+    with one_blas_thread():
+        # without a pinned coset seed the pattern depends on the run's seed
+        jobs = []
+        for value in values:
+            for seed in seeds:
+                sub = _replace(cfg, master_seed=seed, **{param: value})
+                resolved = resolve(sub)
+                require_gates(resolved.gates)
+                jobs.append((value, seed, sub, resolved.design))
+        header = [
+            "param", "value", "seed", "rs_rel_error", "sigma_rel_error", "detection_rate"
+        ]
+        path = _output_dir(cfg, output_dir) / "sweep.csv"
+        try:
+            fh = open(path, "w")
+        except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
-        raise
-    return path
+        try:
+            with fh:
+                rows = [
+                    [param, value, seed, *_sweep_metrics(sub, design)]
+                    for value, seed, sub, design in jobs
+                ]
+                _write_csv(fh, [header, *rows])
+        except BaseException as exc:
+            path.unlink(missing_ok=True)
+            # the runs do no I/O, so an OSError is the write's
+            if isinstance(exc, OSError):
+                raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+            raise
+        return path
 
 
 def _sweep_metrics(cfg: ScenarioConfig, design: est.Design):
     """A sweep run's scores, from the estimate run_scenario makes."""
-    rec, _, detections, _ = _estimate(cfg, design, {})
+    rec, _, detections = _estimate(cfg, design, {})
     grid = design.grid
     try:
         truth = place_on_grid(cfg.sources, grid, cfg.n_t)

@@ -17,9 +17,11 @@ N_n; block_buffer_bytes gives it in closed form.  compressed_blocks and
 ula_snapshots (nothing compressed away) gather all chunks into one
 array; scenario runs fold them into a running Gram instead
 (estimate.accumulate_gram), and dump_chunks streams them to a file on
-the way.  A run folds under one_blas_thread: the calling thread's FIRs,
-steering and Gram updates run on one BLAS thread, and the draw pool
-holds the other CPUs.
+the way.  The scenario commands (run, sweep, certify) run under
+one_blas_thread from design to solve: the design's SVDs, the calling
+thread's FIRs, steering and Gram updates and the least-squares solves
+run on one BLAS thread, so no idle OpenBLAS worker spins on a CPU the
+draw pool needs.
 
 Precision: the normals are drawn in float64 and scaled in float64, then
 rounded once to BLOCK_DTYPE (complex64); the tap matrices, steering,
@@ -27,18 +29,24 @@ FIR outputs and blocks are complex64, and estimate.accumulate_gram sums
 each chunk's complex64 Gram into a complex128 one.  The estimator's
 error is set by the block count (sampling error near 0.2 relative on
 the flagship), far above float32 rounding.  Blocks must lie within
-float32 range: a value past it is not finite and raises.
+float32 range: a value past it is not finite and raises.  Scenario
+runs never get there: resolve refuses variances summing past
+scenario.MAX_TOTAL_VARIANCE, below which neither the blocks nor a
+chunk's complex64 Gram overflows.
 
 Seeding gives every source its own named stream, every antenna of the
 underlying ULA its own noise stream keyed by its mark, and one stream to
-the random extra coset rows.  Only the active antennas' noise streams are
-drawn, N_t values per block in time order, so an antenna's noise does not
-depend on which other antennas are active: the compressed blocks are an
-exact subset of the full array's for the same seed.  Every stream is
-consumed in time order, independent of the block count, the chunk size
-and the compression, and the last chunk is computed at full size before
-it is cut, so enlarging N_n appends blocks and leaves every earlier one
-bit-identical.
+the random extra coset rows.  The source and noise streams, which draw
+nearly all the normals, run on SFC64, which draws a normal in about a
+fifth less time than PCG64, numpy's default; the coset stream runs on
+PCG64 and fixes each seed's coset rows.  Only the active antennas' noise
+streams are drawn, N_t values per block in time order, so an antenna's
+noise does not depend on which other antennas are active: the compressed
+blocks are an exact subset of the full array's for the same seed.  Every
+stream is consumed in time order, independent of the block count, the
+chunk size and the compression, and the last chunk is computed at full
+size before it is cut, so enlarging N_n appends blocks and leaves every
+earlier one bit-identical.
 """
 
 from __future__ import annotations
@@ -147,19 +155,22 @@ class SnapshotBlocks:
         return self.blocks.shape
 
 
-def _stream(master_seed: int, label: int, index: int = 0) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=[int(master_seed), label, index])
+def _stream(
+    master_seed: int, label: int, index: int = 0, bit_generator=np.random.SFC64
+) -> np.random.Generator:
+    return np.random.Generator(
+        bit_generator(np.random.SeedSequence(entropy=[int(master_seed), label, index]))
     )
 
 
 def source_rng(master_seed: int, source_index: int) -> np.random.Generator:
+    """The white input of source ``source_index``, on SFC64."""
     return _stream(master_seed, _STREAM_SOURCE, source_index)
 
 
 def noise_rng(master_seed: int, mark: int = 0) -> np.random.Generator:
     """The additive noise of the antenna at ``mark`` on the underlying
-    ULA: N_t circular complex normals per block, in time order."""
+    ULA, on SFC64: N_t circular complex normals per block, in time order."""
     return _stream(master_seed, _STREAM_NOISE, mark)
 
 
@@ -298,9 +309,15 @@ def one_blas_thread():
     has no openblas_set_num_threads_local (OpenBLAS 0.3.27 or later; not
     MKL or Accelerate), in which case nothing is changed.
 
-    Scenario runs fold block_chunks' chunks into a Gram under it, so the
-    calling thread's small products do not start BLAS threads that
-    compete with the draw pool for the CPUs.  On a pthreads build of
+    Each scenario command (run, sweep, certify) runs under it from its
+    design to its solve, so no BLAS call of the command starts BLAS
+    threads: the calling thread's small products would otherwise compete
+    with the draw pool for the CPUs, and after any multi-threaded call
+    OpenBLAS's idle worker busy-waits for a while (about 0.13 s of CPU
+    after one flagship design or solve) on a CPU the draws need.  The
+    estimate functions themselves leave the count alone, since a caller
+    that correlates a large array in one product wants every BLAS
+    thread.  On a pthreads build of
     OpenBLAS (numpy's wheels) the call sets the count of the whole
     process, so folds that overlap in different threads share it: every
     entry sets 1, the first saves the count before it, and the last to
@@ -363,7 +380,7 @@ def block_chunks(
     task at a time, in time order, so the blocks do not depend on the
     thread count; nothing is drawn past the last chunk.  The FIRs and
     the steering (all BLAS work) run on the calling thread, with its BLAS
-    threads (one under one_blas_thread, as scenario runs fold).  Closing
+    threads (one under one_blas_thread, as the scenario commands run).  Closing
     the generator, or a failed draw, shuts the pool down after its
     running tasks end.
     """
@@ -581,7 +598,8 @@ def build_coset_pattern(
     The ruler guarantees every lag 0..N_t-1 appears among row differences,
     which is what makes the lag-recovery system full column rank; the
     remaining m_t - |ruler| rows are drawn without replacement from the
-    complement, deterministically from the master seed.
+    complement, deterministically from the master seed, on a PCG64
+    stream (the data streams are SFC64; this one keeps the designs).
     """
     if n_t < 1:
         raise ValueError("N_t must be >= 1")
@@ -595,7 +613,7 @@ def build_coset_pattern(
     rows = set(marks)
     if extra_count:
         complement = np.array(sorted(set(range(n_t)) - rows))
-        rng = _stream(master_seed, _STREAM_COSET)
+        rng = _stream(master_seed, _STREAM_COSET, bit_generator=np.random.PCG64)
         extras = rng.choice(complement, size=extra_count, replace=False)
         rows |= set(int(e) for e in extras)
     return CosetPattern(n_t=n_t, rows=tuple(sorted(rows)))

@@ -671,6 +671,11 @@ ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
          "[geometry] unknown key 'seed'"),
         # values are literal: no interpolation reads [run] seed here
         ("n_blocks = 500", "n_blocks = %(seed)s", 2, "is not an integer"),
+        # the variances sum past MAX_TOTAL_VARIANCE
+        ("[noise]\nvariance = 5", "[noise]\nvariance = 1e36", 2,
+         "[noise] variance = 1e+36 is too large"),
+        ("band_hi_pi = 0.2\nvariance = 5", "band_hi_pi = 0.2\nvariance = 1e36", 2,
+         "[source.N] variance (source 2 of 3) = 1e+36 is too large"),
     ],
     ids=[
         "band-0.1pi",
@@ -689,6 +694,8 @@ ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
         "section-nosie",
         "default-seed",
         "n_blocks-interpolated",
+        "noise-variance-1e36",
+        "source-variance-1e36",
     ],
 )
 def test_cli_commands_agree_before_simulating(
@@ -964,7 +971,7 @@ def test_cli_certify_prints_the_simulator_memory(capsys):
     report = run_certify(cfg)
     assert report["draw_threads"] == 3
     per = simulate.chunk_blocks(cfg.n_t)
-    chunk_bytes = 16 * per * len(cfg.marks) * cfg.m_t
+    chunk_bytes = simulate.BLOCK_DTYPE.itemsize * per * len(cfg.marks) * cfg.m_t
     assert report["cost"]["block_buffer_bytes"] > 3 * chunk_bytes
     assert main(["certify", str(SMOKE)]) == 0
     plain = run_certify(load_scenario(SMOKE))
@@ -1016,6 +1023,52 @@ def test_run_and_sweep_fold_on_one_blas_thread(tmp_path, monkeypatch):
     run_sweep(cfg, "n_blocks", [5000], [0], output_dir=str(tmp_path / "sweep"))
     assert blas_thread_count() == before
     assert len(counts) == 6 and set(counts) == {1}
+
+
+@needs_blas_control
+def test_every_command_runs_its_blas_on_one_thread(tmp_path, monkeypatch):
+    # every np.linalg function and the Gram and FIR products record the
+    # count they run at
+    counts = {}
+
+    def record(name, orig):
+        def recording(*args, **kwargs):
+            counts.setdefault(name, set()).add(blas_thread_count())
+            return orig(*args, **kwargs)
+
+        return recording
+
+    for name in np.linalg.__all__:
+        orig = getattr(np.linalg, name)
+        if callable(orig) and not isinstance(orig, type):
+            monkeypatch.setattr(np.linalg, name, record(name, orig))
+    for module, name in ((estimate, "block_gram"), (simulate, "_fir_blocks")):
+        monkeypatch.setattr(module, name, record(name, getattr(module, name)))
+
+    before = blas_thread_count()
+    cfg = replace(load_scenario(SMOKE), n_blocks=300)
+    run_certify(cfg)
+    assert blas_thread_count() == before
+    run_scenario(cfg, output_dir=str(tmp_path / "run"))
+    assert blas_thread_count() == before
+    run_sweep(cfg, "n_blocks", [300], [0, 1], output_dir=str(tmp_path / "sweep"))
+    assert blas_thread_count() == before
+    assert {"svd", "lstsq", "norm", "block_gram", "_fir_blocks"} <= set(counts)
+    assert all(seen == {1} for seen in counts.values()), counts
+
+    # a design refused in resolve leaves the count as it was
+    loud = replace(cfg, noise_variance=1e36)
+    with pytest.raises(ConfigError):
+        resolve(loud)
+    assert blas_thread_count() == before
+    for command in (
+        lambda: run_certify(loud),
+        lambda: run_scenario(loud, output_dir=str(tmp_path / "loud")),
+        lambda: run_sweep(loud, "n_blocks", [300], [0], output_dir=str(tmp_path / "loud")),
+    ):
+        with pytest.raises(ConfigError, match="too large"):
+            command()
+        assert blas_thread_count() == before
 
 
 @needs_blas_control
@@ -1133,6 +1186,35 @@ def test_cli_work_above_the_limit_exits_2(tmp_path, capsys, monkeypatch, command
     assert "6.4e+14 complex normals" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "o").exists()
+
+
+def test_variance_limit_is_judged_on_the_sum():
+    cfg = load_scenario(SMOKE)
+    bound = scenario.MAX_TOTAL_VARIANCE
+    # 5 + 5 + 5 + bound rounds to the bound itself
+    assert resolve(replace(cfg, noise_variance=bound)).design is not None
+    with pytest.raises(ConfigError, match=r"\[noise\] variance = 6.49e\+32 is too large"):
+        resolve(replace(cfg, noise_variance=2 * bound))
+    sources = tuple(replace(s, input_variance=bound / 2) for s in cfg.sources)
+    with pytest.raises(ConfigError, match="source 1 of 3"):
+        resolve(replace(cfg, sources=sources))
+
+
+def test_variance_limit_keeps_the_largest_chunk_gram_finite():
+    # at N_t = 1 a chunk holds the most blocks, chunk_blocks(1)
+    geo = model.ArrayGeometry(2, 0.5, (0, 1))
+    pattern = simulate.CosetPattern(1, (0,))
+    per = simulate.chunk_blocks(1)
+
+    def chunk_gram(variance):
+        chunks = simulate.block_chunks((), geo, pattern, variance, per, 0, 1)
+        return estimate.accumulate_gram(chunks)[0]
+
+    bound = scenario.MAX_TOTAL_VARIANCE
+    assert np.isfinite(chunk_gram(bound)).all()
+    # at 128 times the bound the Gram's diagonal averages twice float32's max
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="Gram is not finite"):
+        chunk_gram(128 * bound)
 
 
 def test_flagship_is_far_below_the_work_limit():

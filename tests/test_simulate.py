@@ -565,6 +565,16 @@ def test_stream_separation():
     assert not np.allclose(a, c)
 
 
+def test_data_streams_are_sfc64_and_the_coset_stream_pcg64():
+    assert isinstance(source_rng(0, 1).bit_generator, np.random.SFC64)
+    assert isinstance(noise_rng(0, 7).bit_generator, np.random.SFC64)
+    # the flagship's coset rows (N_t = 84, M_t = 34, coset seed 0)
+    assert build_coset_pattern(84, 34, 0).rows == (
+        0, 1, 2, 4, 8, 9, 16, 18, 19, 22, 23, 24, 26, 29, 32, 39, 41,
+        46, 47, 49, 51, 55, 56, 59, 60, 63, 67, 69, 70, 72, 75, 80, 81, 83,
+    )
+
+
 def test_blocks_reject_non_finite():
     bad = np.ones((2, 3, 4), dtype=complex)
     bad[1, 2, 3] = np.nan
