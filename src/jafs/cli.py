@@ -72,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    cfg = load_scenario(args.config)
+def _cmd_run(cfg, args) -> int:
     report = run_scenario(cfg, output_dir=args.output_dir, seed=args.seed)
     for gate in report["gates"]:
         if not gate["passed"]:
@@ -92,8 +91,8 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_certify(args) -> int:
-    report = run_certify(load_scenario(args.config))
+def _cmd_certify(cfg, args) -> int:
+    report = run_certify(cfg)
     for gate in report["gates"]:
         status = "pass" if gate["passed"] else "FAIL"
         print(f"gate {gate['name']} [{gate['level']}]: {status}  {gate['detail']}")
@@ -116,8 +115,7 @@ def _cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    cfg = load_scenario(args.config)
+def _cmd_sweep(cfg, args) -> int:
     seeds = args.seeds if args.seeds is not None else [cfg.master_seed]
     path = run_sweep(
         cfg, args.param, args.values, seeds, output_dir=args.output_dir
@@ -132,7 +130,7 @@ def main(argv=None) -> int:
         args.command
     ]
     try:
-        return handler(args)
+        return handler(load_scenario(args.config), args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

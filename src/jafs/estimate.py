@@ -175,13 +175,15 @@ def accumulate_gram(chunks: Iterable[np.ndarray]):
     Each chunk's Gram is computed in the chunk's precision and summed in
     complex128, so rounding does not build up over the chunks.  Raises
     ValueError when the sum is not finite, as when a chunk's complex64
-    products overflow (block values of order 1e17 and up)."""
+    products overflow (block values of order 1e17 and up); the overflow
+    itself is not warned of."""
     gram, n_blocks = None, 0
     for chunk in chunks:
-        if gram is None:
-            gram = block_gram(chunk).astype(np.complex128)
-        else:
-            gram += block_gram(chunk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if gram is None:
+                gram = block_gram(chunk).astype(np.complex128)
+            else:
+                gram += block_gram(chunk)
         n_blocks += chunk.shape[0]
     if gram is None:
         raise ValueError("no blocks to correlate")

@@ -34,7 +34,7 @@ A scenario file is INI-style text with sections::
     output_dir = out
     ; peak_threshold = 0.35
     ; workers = 4            ; draw threads of run and sweep (default: the
-    ;                        ; CPUs available); also settable via JAFS_WORKERS
+    ;                        ; CPUs this process may use)
     ; dump_snapshots = true  ; write compressed blocks next to the CSVs
 
 KEYS declares every key a file may hold, with its type, default and
@@ -51,8 +51,9 @@ sweep and certify each hold one_blas_thread from resolve on, so every
 BLAS call they make runs on one thread.  A sweep runs its jobs one
 after another; the worker count sets the threads that draw each run's
 random streams.  resolve refuses, as a bad value, variances summing
-past MAX_TOTAL_VARIANCE and a run whose predicted work exceeds
-MAX_COMPLEX_NORMALS or MAX_GRAM_FLOPS.  Hard gates:
+past MAX_TOTAL_VARIANCE or to a positive sum below MIN_TOTAL_VARIANCE,
+and a run whose predicted work exceeds MAX_COMPLEX_NORMALS or
+MAX_GRAM_FLOPS.  Hard gates:
 temporal-overdetermination (M_t**2 >= 2*N_t - 1, else the lag system is
 underdetermined); band-resolution (every source band at least 2*pi/N_t
 wide, all the N_t-tap source filters resolve); coset-ruler-cardinality
@@ -71,7 +72,7 @@ import json
 import math
 import os
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, replace as _replace
 from fractions import Fraction
 from pathlib import Path
@@ -89,6 +90,7 @@ from .geometry import (
 from .model import AngularGrid, ArrayGeometry, inverse_sin_grid
 from .oracle import place_on_grid
 from .simulate import (
+    BLOCK_DTYPE,
     CosetCardinalityError,
     CosetPattern,
     SourceSpec,
@@ -103,13 +105,11 @@ from .simulate import (
     one_blas_thread,
 )
 
-WORKERS_ENV = "JAFS_WORKERS"
-
 # the most work resolve admits in one run, about 10^5 flagship runs
 MAX_COMPLEX_NORMALS = 10 ** 12
 MAX_GRAM_FLOPS = 10 ** 15
 
-MAX_TOTAL_VARIANCE = float(np.finfo(np.float32).max) / (64 * chunk_blocks(1))
+MAX_TOTAL_VARIANCE = float(np.finfo(BLOCK_DTYPE).max) / (64 * chunk_blocks(1))
 """The largest sum of a scenario's variances, its sources' and its
 noise's, that resolve admits: about 3.2e32.
 
@@ -126,6 +126,10 @@ bound, a chunk's Gram reaches float32's largest value only when its
 blocks' power averages 64 times its mean, for one block a chance of
 e**-64; the blocks themselves, near sqrt(3.2e32) = 1.8e16, lie far
 inside float32 range."""
+
+# the smallest positive variance sum resolve admits, about 1.2e-38: below
+# it the blocks are float32 subnormals and their Gram underflows to zero
+MIN_TOTAL_VARIANCE = float(np.finfo(BLOCK_DTYPE).tiny)
 
 
 class ConfigError(ValueError):
@@ -163,8 +167,7 @@ class Key(NamedTuple):
     ``field`` (None: read by hand) as ``kind`` (int, float, str, (int,)
     or (float,) for a list, or a dict from accepted words to values), else
     ``default`` (...: required; a blank value unsets a None default).
-    _judge holds it within ``bounds`` (a key of _BOUNDS), naming it
-    ``label``, else "[section] key"."""
+    _judge holds it within ``bounds`` (a key of _BOUNDS)."""
 
     section: str
     key: str
@@ -172,7 +175,6 @@ class Key(NamedTuple):
     kind: object = None
     default: object = ...
     bounds: Optional[str] = None
-    label: Optional[str] = None
 
 
 _BOUNDS = {
@@ -204,8 +206,8 @@ KEYS = (
     Key("run", "seed", "master_seed", int, bounds=">= 0"),
     Key("run", "output_dir", "output_dir", str, "out"),
     Key("run", "peak_threshold", "peak_threshold", float, 0.35, "in (0, 1]"),
-    # unset: WORKERS_ENV, else the CPUs available
-    Key("run", "workers", "workers", int, None, ">= 1", "worker count"),
+    # unset: the CPUs this process may use
+    Key("run", "workers", "workers", int, None, ">= 1"),
     Key("run", "dump_snapshots", "dump_snapshots", _BOOLEAN, False),
 )
 # the fields run_sweep and ``jafs sweep --param`` vary
@@ -249,7 +251,7 @@ def _judge(values: dict) -> None:
     for spec in KEYS:
         value = values[spec.field] if spec.bounds else None
         if value is not None and not _BOUNDS[spec.bounds](value):
-            label = spec.label or f"[{spec.section}] {spec.key}"
+            label = f"[{spec.section}] {spec.key}"
             raise ConfigError(f"{label} = {value} must be {spec.bounds}")
 
 
@@ -282,8 +284,6 @@ def load_scenario(path) -> ScenarioConfig:
         if name not in parser:
             raise ConfigError(f"missing [{name}] section")
         values.update(_read(parser[name], name))
-    if values["workers"] is None and os.environ.get(WORKERS_ENV):
-        values["workers"] = _parse(os.environ[WORKERS_ENV], int, WORKERS_ENV)
     _judge(values)
 
     marks = parser["geometry"].get("marks", "solve")
@@ -413,8 +413,9 @@ def resolve(cfg: ScenarioConfig) -> Resolution:
     front door of run, certify and sweep.  Failed gates are recorded, not
     raised; a value out of range, however it was set, and a configuration
     that describes no geometry, grid or coset pattern raise ConfigError,
-    and so does one whose variances sum past MAX_TOTAL_VARIANCE or whose
-    predicted_cost exceeds MAX_COMPLEX_NORMALS or MAX_GRAM_FLOPS."""
+    and so does one whose variances sum past MAX_TOTAL_VARIANCE or to a
+    positive sum below MIN_TOTAL_VARIANCE, or whose predicted_cost
+    exceeds MAX_COMPLEX_NORMALS or MAX_GRAM_FLOPS."""
     _judge(vars(cfg))
     _judge_variances(cfg)
     try:
@@ -450,10 +451,15 @@ def resolve(cfg: ScenarioConfig) -> Resolution:
 def _judge_variances(cfg: ScenarioConfig) -> None:
     """ConfigError naming the largest variance when the variances sum
     past MAX_TOTAL_VARIANCE, where the float32 blocks' Gram can
-    overflow."""
+    overflow, or to a positive sum below MIN_TOTAL_VARIANCE, where it
+    underflows."""
     variances = [s.input_variance for s in cfg.sources] + [cfg.noise_variance]
     total = sum(variances)
-    if total <= MAX_TOTAL_VARIANCE:
+    if total > MAX_TOTAL_VARIANCE:
+        size, bound, effect = "large", f"past {MAX_TOTAL_VARIANCE:.4g}", "overflow"
+    elif 0 < total < MIN_TOTAL_VARIANCE:
+        size, bound, effect = "small", f"below {MIN_TOTAL_VARIANCE:.4g}", "underflow"
+    else:
         return
     largest = int(np.argmax(variances))
     if largest == len(cfg.sources):
@@ -461,9 +467,8 @@ def _judge_variances(cfg: ScenarioConfig) -> None:
     else:
         label = f"[source.N] variance (source {largest + 1} of {len(cfg.sources)})"
     raise ConfigError(
-        f"{label} = {variances[largest]:.4g} is too large: the variances sum "
-        f"to {total:.4g}, past {MAX_TOTAL_VARIANCE:.4g}, where the float32 "
-        "blocks' Gram can overflow"
+        f"{label} = {variances[largest]:.4g} is too {size}: the variances sum "
+        f"to {total:.4g}, {bound}, where the float32 blocks' Gram can {effect}"
     )
 
 
@@ -564,9 +569,10 @@ def run_scenario(
     threads.  ``timings["simulate_s"]`` is the run's wait on the
     simulator: the FIRs, the steering and any draw not yet done.
     ``timings["export_s"]`` covers writing the CSVs and assembling the
-    report, not writing report.json, which holds it.  Partial outputs are
-    removed if any stage fails; an output that cannot be written raises
-    ConfigError naming it.
+    report, not writing report.json, which holds it.  The outputs are
+    written in one _outputs transaction: a failed or interrupted run
+    removes those already written, and an output that cannot be written
+    raises ConfigError naming it.
     """
     if seed is not None:
         cfg = _replace(cfg, master_seed=seed)
@@ -575,9 +581,7 @@ def run_scenario(
         resolved = resolve(cfg)
         require_gates(resolved.gates)
         timings = {"design_s": time.perf_counter() - t0}
-        out = _output_dir(cfg, output_dir)
-        written = []
-        try:
+        with _outputs(cfg, output_dir) as (out, written):
             dump = None
             if cfg.dump_snapshots:
                 dump = out / "compressed_blocks.bin"
@@ -599,17 +603,33 @@ def run_scenario(
             timings["export_s"] = time.perf_counter() - t0
             with open(report_path, "w") as fh:
                 json.dump(report, fh, indent=2)
-            return report
-        except Exception as exc:
-            for p in written:
-                try:
-                    os.unlink(p)
-                except OSError:
-                    pass
-            # only the writes do I/O, and the last path listed is the one open
-            if isinstance(exc, OSError) and written:
-                raise ConfigError(f"cannot write {written[-1]}: {exc.strerror or exc}")
-            raise
+        return report
+
+
+@contextmanager
+def _outputs(cfg: ScenarioConfig, override: Optional[str]):
+    """Run's and sweep's output transaction: yields the output directory
+    (``override`` if given, created if missing) and a list to which the
+    caller adds each path before opening it.  Any failure or interruption
+    removes every listed path; an OSError, which only the writes raise,
+    becomes a ConfigError naming the last one, the one open."""
+    out = Path(override if override is not None else cfg.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot use output directory {str(out)!r}: {exc}")
+    written = []
+    try:
+        yield out, written
+    except BaseException as exc:
+        for p in written:
+            try:
+                os.unlink(p)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and written:
+            raise ConfigError(f"cannot write {written[-1]}: {exc.strerror or exc}")
+        raise
 
 
 def _estimate(cfg: ScenarioConfig, design: est.Design, timings: dict, dump=None):
@@ -619,7 +639,10 @@ def _estimate(cfg: ScenarioConfig, design: est.Design, timings: dict, dump=None)
     one_blas_thread around it, so the fold and the solve run on one BLAS
     thread.  Sets ``timings``' simulate_s, gram_s and estimate_s;
     returns (rec, spec, detections)."""
-    chunks = _simulated_chunks(cfg, design)
+    chunks = block_chunks(
+        cfg.sources, design.geometry, design.pattern, cfg.noise_variance,
+        cfg.n_blocks, cfg.master_seed, cfg.workers,
+    )
     if dump is not None:
         shape = (cfg.n_blocks, design.geometry.m_active, design.pattern.m_t)
         chunks = dump_chunks(dump, chunks, shape)
@@ -637,30 +660,6 @@ def _estimate(cfg: ScenarioConfig, design: est.Design, timings: dict, dump=None)
     detections = est.find_peaks(spec, cfg.peak_threshold)
     timings["estimate_s"] = time.perf_counter() - t0
     return rec, spec, detections
-
-
-def _output_dir(cfg: ScenarioConfig, override: Optional[str]) -> Path:
-    """The output directory, ``override`` if given, created if missing."""
-    out = Path(override if override is not None else cfg.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot use output directory {str(out)!r}: {exc}")
-    return out
-
-
-def _simulated_chunks(cfg: ScenarioConfig, design: est.Design):
-    """The configuration's simulated data, as the design samples it, in
-    chunks of blocks drawn on the configured worker count."""
-    return block_chunks(
-        cfg.sources,
-        design.geometry,
-        design.pattern,
-        cfg.noise_variance,
-        cfg.n_blocks,
-        cfg.master_seed,
-        cfg.workers,
-    )
 
 
 def _timed(items, timings: dict, key: str):
@@ -727,12 +726,15 @@ def run_sweep(
     another, in job order, each drawing its streams on the config's
     worker count (see block_chunks).  The whole sweep, every design and
     every run's fold, solve and scoring, holds one_blas_thread, as
-    run_scenario does.  The rows are written after the last run; a
-    failed run removes sweep.csv.
+    run_scenario does.  The rows are written after the last run, in
+    run_scenario's _outputs transaction: a failed or interrupted run
+    removes sweep.csv.  An empty ``values`` or ``seeds`` is a ConfigError.
     """
     if param not in SWEEP_PARAMS:
         params = " or ".join(SWEEP_PARAMS)
         raise ConfigError(f"sweep parameter must be {params}, got {param!r}")
+    if not values or not seeds:
+        raise ConfigError("a sweep needs at least one value and one seed")
     with one_blas_thread():
         # without a pinned coset seed the pattern depends on the run's seed
         jobs = []
@@ -745,24 +747,15 @@ def run_sweep(
         header = [
             "param", "value", "seed", "rs_rel_error", "sigma_rel_error", "detection_rate"
         ]
-        path = _output_dir(cfg, output_dir) / "sweep.csv"
-        try:
-            fh = open(path, "w")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
-        try:
-            with fh:
+        with _outputs(cfg, output_dir) as (out, written):
+            path = out / "sweep.csv"
+            written.append(path)
+            with open(path, "w") as fh:
                 rows = [
                     [param, value, seed, *_sweep_metrics(sub, design)]
                     for value, seed, sub, design in jobs
                 ]
                 _write_csv(fh, [header, *rows])
-        except BaseException as exc:
-            path.unlink(missing_ok=True)
-            # the runs do no I/O, so an OSError is the write's
-            if isinstance(exc, OSError):
-                raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
-            raise
         return path
 
 

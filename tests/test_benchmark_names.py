@@ -5,6 +5,7 @@ source, never imported."""
 
 import ast
 import importlib
+from dataclasses import fields
 from pathlib import Path
 
 from jafs import scenario
@@ -45,6 +46,20 @@ def test_benchmark_names_exist():
         if not hasattr(importlib.import_module(f"jafs.{module}"), name)
     ]
     assert missing == []
+
+
+def test_workload_config_fields_exist():
+    # every keyword of replace(...) and every attribute read on cfg or
+    # self.cfg in the workloads is a ScenarioConfig field
+    used = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text())):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "replace":
+            used |= {kw.arg for kw in node.keywords}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if ast.unparse(node.value) in ("cfg", "self.cfg"):
+                used.add(node.attr)
+    assert {"workers", "n_blocks"} <= used
+    assert used - {f.name for f in fields(scenario.ScenarioConfig)} == set()
 
 
 def test_sweep_calls_sweep_metrics_once_per_job(tmp_path, monkeypatch):

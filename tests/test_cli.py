@@ -12,7 +12,7 @@ import textwrap
 import threading
 import tracemalloc
 import types
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import closing, redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -348,7 +348,11 @@ def test_simulator_memory_is_flat_and_within_the_prediction():
     for n_chunks in (2, 16):
         sub = replace(cfg, n_blocks=n_chunks * per)
         predicted = predicted_cost(sub)["block_buffer_bytes"]
-        chunks = scenario._simulated_chunks(sub, resolve(sub).design)
+        design = resolve(sub).design
+        chunks = simulate.block_chunks(
+            sub.sources, design.geometry, design.pattern, sub.noise_variance,
+            sub.n_blocks, sub.master_seed, sub.workers,
+        )
         tracemalloc.start()
         try:
             estimate.accumulate_gram(chunks)
@@ -410,12 +414,12 @@ def test_sweep_rows_score_the_run_of_their_value_and_seed(tmp_path):
         assert float(rate) == hits / len(cells)
 
 
-def test_sweep_empty_values_header_only(tmp_path):
+def test_sweep_refuses_empty_values_or_seeds(tmp_path):
     cfg = load_scenario(SMOKE)
-    path = run_sweep(cfg, "n_blocks", [], [0], output_dir=str(tmp_path))
-    assert path.read_text().splitlines() == [
-        "param,value,seed,rs_rel_error,sigma_rel_error,detection_rate"
-    ]
+    for values, seeds in (([], [0]), ([100], [])):
+        with pytest.raises(ConfigError, match="at least one value and one seed"):
+            run_sweep(cfg, "n_blocks", values, seeds, output_dir=str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
 
 
 def test_failed_sweep_run_leaves_no_sweep_csv(tmp_path, monkeypatch):
@@ -432,6 +436,37 @@ def test_failed_sweep_run_leaves_no_sweep_csv(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="run failed"):
         run_sweep(load_scenario(SMOKE), "n_blocks", [100], [0, 1], output_dir=str(tmp_path))
     assert len(runs) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+class Interrupted(BaseException):
+    """Stands in for a KeyboardInterrupt, which pytest would act on."""
+
+
+def interrupt_after_one_chunk(monkeypatch):
+    orig = scenario.block_chunks
+
+    def interrupted(*args):
+        with closing(orig(*args)) as chunks:
+            yield next(chunks)
+        raise Interrupted
+
+    monkeypatch.setattr(scenario, "block_chunks", interrupted)
+
+
+def test_interrupted_run_leaves_no_output(tmp_path, monkeypatch):
+    path = write_scenario(tmp_path, SMOKE.read_text() + "dump_snapshots = true\n")
+    interrupt_after_one_chunk(monkeypatch)
+    out = tmp_path / "o"
+    with pytest.raises(Interrupted):
+        run_scenario(load_scenario(path), output_dir=str(out))
+    assert list(out.iterdir()) == []
+
+
+def test_interrupted_sweep_leaves_no_sweep_csv(tmp_path, monkeypatch):
+    interrupt_after_one_chunk(monkeypatch)
+    with pytest.raises(Interrupted):
+        run_sweep(load_scenario(SMOKE), "n_blocks", [100], [0], output_dir=str(tmp_path))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -615,16 +650,6 @@ def test_cli_certify_fuzzed_explicit_angle_exits_cleanly(index, token):
     certify_exits_cleanly(EXPLICIT_TEXT.format(" ".join(angles)))
 
 
-def test_cli_zero_workers_from_environment_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(scenario.WORKERS_ENV, "0")
-    forbid_simulation(monkeypatch)
-    args = cli_args("sweep", SMOKE, tmp_path)
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "worker count = 0" in err and "Traceback" not in err
-    assert not (tmp_path / "o").exists()
-
-
 def forbid_simulation(monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before the design was accepted")
@@ -643,6 +668,8 @@ def cli_args(command, path, tmp_path, sweep=("--param", "n_blocks", "--values", 
 
 BAND = "band_lo_pi = -0.1\nband_hi_pi = 0.2"
 ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
+# smoke's four variances, from the first source's to the noise's
+VARIANCES = re.search(r"variance = 5\n.*variance = 5\n", SMOKE.read_text(), re.S).group()
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "sweep"])
@@ -676,6 +703,9 @@ ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
          "[noise] variance = 1e+36 is too large"),
         ("band_hi_pi = 0.2\nvariance = 5", "band_hi_pi = 0.2\nvariance = 1e36", 2,
          "[source.N] variance (source 2 of 3) = 1e+36 is too large"),
+        # ... or to a positive sum where they underflow
+        (VARIANCES, VARIANCES.replace("variance = 5", "variance = 1e-50"), 2,
+         "[source.N] variance (source 1 of 3) = 1e-50 is too small"),
     ],
     ids=[
         "band-0.1pi",
@@ -696,6 +726,7 @@ ROWS = "m_t = 5\nrows = 0 1 2 3 7\n"
         "n_blocks-interpolated",
         "noise-variance-1e36",
         "source-variance-1e36",
+        "variance-1e-50",
     ],
 )
 def test_cli_commands_agree_before_simulating(
@@ -716,8 +747,16 @@ def test_cli_commands_agree_before_simulating(
         ("run", ("--seed", "-5")),
         ("sweep", ("--param", "n_blocks", "--values", "50", "--seeds", "-3")),
         ("sweep", ("--param", "n_blocks", "--values", "0")),
+        ("sweep", ("--param", "n_blocks", "--values", ",")),
+        ("sweep", ("--param", "n_blocks", "--values", "50", "--seeds", ",")),
     ],
-    ids=["run-seed-negative", "sweep-seeds-negative", "sweep-n_blocks-0"],
+    ids=[
+        "run-seed-negative",
+        "sweep-seeds-negative",
+        "sweep-n_blocks-0",
+        "sweep-values-empty",
+        "sweep-seeds-empty",
+    ],
 )
 def test_cli_override_out_of_range_exits_2(
     tmp_path, capsys, monkeypatch, command, overrides
@@ -808,7 +847,7 @@ BOUNDED = [key for key in scenario.KEYS if key.bounds]
 @pytest.mark.parametrize("key", BOUNDED, ids=[f"{k.section}-{k.key}" for k in BOUNDED])
 def test_value_just_outside_its_bounds_exits_2(tmp_path, capsys, monkeypatch, key):
     forbid_simulation(monkeypatch)
-    label = key.label or f"[{key.section}] {key.key}"
+    label = f"[{key.section}] {key.key}"
     for value in OUTSIDE[key.bounds, key.kind]:
         parser = configparser.ConfigParser()
         parser.read_string(SMOKE.read_text())
@@ -1198,6 +1237,14 @@ def test_variance_limit_is_judged_on_the_sum():
     sources = tuple(replace(s, input_variance=bound / 2) for s in cfg.sources)
     with pytest.raises(ConfigError, match="source 1 of 3"):
         resolve(replace(cfg, sources=sources))
+    # four quarters of the lower bound reach it; three do not, and a sum
+    # of 0 (no sources, no noise) is admitted
+    tiny = scenario.MIN_TOTAL_VARIANCE
+    quiet = tuple(replace(s, input_variance=tiny / 4) for s in cfg.sources)
+    assert resolve(replace(cfg, sources=quiet, noise_variance=tiny / 4)).design is not None
+    with pytest.raises(ConfigError, match=r"source 1 of 3\) = 2.9\d*e-39 is too small"):
+        resolve(replace(cfg, sources=quiet, noise_variance=0.0))
+    assert resolve(replace(cfg, sources=(), noise_variance=0.0)).design is not None
 
 
 def test_variance_limit_keeps_the_largest_chunk_gram_finite():

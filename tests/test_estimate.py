@@ -1,5 +1,6 @@
 """Lag recovery, angular recovery, spectrum, and peak picking."""
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -682,6 +683,18 @@ def test_accumulate_gram_rejects_an_overflowed_gram():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="not finite"):
             accumulate_gram([chunk])
+
+
+def test_accumulate_gram_overflow_raises_no_warning():
+    # a caller that turns warnings into errors still gets the ValueError,
+    # whether the first chunk's Gram overflows or a later one's
+    fine = np.ones((4, 2, 3), dtype=np.complex64)
+    huge = np.full((4, 2, 3), 1e20, dtype=np.complex64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for chunks in ([huge], [fine, huge]):
+            with pytest.raises(ValueError, match="not finite"):
+                accumulate_gram(chunks)
 
 
 def test_accumulate_gram_rejects_no_blocks():
