@@ -23,30 +23,36 @@ thread's FIRs, steering and Gram updates and the least-squares solves
 run on one BLAS thread, so no idle OpenBLAS worker spins on a CPU the
 draw pool needs.
 
-Precision: the normals are drawn in float64 and scaled in float64, then
-rounded once to BLOCK_DTYPE (complex64); the tap matrices, steering,
-FIR outputs and blocks are complex64, and estimate.accumulate_gram sums
-each chunk's complex64 Gram into a complex128 one.  The estimator's
-error is set by the block count (sampling error near 0.2 relative on
-the flagship), far above float32 rounding.  Blocks must lie within
-float32 range: a value past it is not finite and raises.  Scenario
-runs never get there: resolve refuses variances summing past
+Precision: each complex normal is the polar (Box-Muller) transform of
+a pair of float64 uniforms, computed in float32 and written straight
+into BLOCK_DTYPE (complex64) by _circular_normals: the radius
+sqrt(-ln(1-u0)) with 1-u0 formed in float64, then the cosine and sine
+of the phase 2*pi*u1.  Its tail reaches the uniforms' resolution, 2**-53,
+a radius of 6.06 standard deviations.  The tap matrices, steering, FIR
+outputs and blocks are complex64, and estimate.accumulate_gram sums each
+chunk's complex64 Gram into a complex128 one.  The estimator's error is
+set by the block count (sampling error near 0.2 relative on the
+flagship), far above float32 rounding.  Blocks must lie within float32
+range: a value past it is not finite and raises.  Scenario runs never
+get there: resolve refuses variances summing past
 scenario.MAX_TOTAL_VARIANCE, below which neither the blocks nor a
 chunk's complex64 Gram overflows.
 
 Seeding gives every source its own named stream, every antenna of the
 underlying ULA its own noise stream keyed by its mark, and one stream to
 the random extra coset rows.  The source and noise streams, which draw
-nearly all the normals, run on SFC64, which draws a normal in about a
-fifth less time than PCG64, numpy's default; the coset stream runs on
-PCG64 and fixes each seed's coset rows.  Only the active antennas' noise
-streams are drawn, N_t values per block in time order, so an antenna's
-noise does not depend on which other antennas are active: the compressed
-blocks are an exact subset of the full array's for the same seed.  Every
-stream is consumed in time order, independent of the block count, the
-chunk size and the compression, and the last chunk is computed at full
-size before it is cut, so enlarging N_n appends blocks and leaves every
-earlier one bit-identical.
+nearly all the uniforms, run on SFC64, which draws them in about 11%
+less time than PCG64, numpy's default; the coset stream runs on PCG64
+and fixes each seed's coset rows.  Only the active antennas' noise
+streams are drawn, a uniform pair for each of the N_t samples of a block
+in time order, and only the pairs of the coset columns are transformed,
+each on its own, so an antenna's noise does not depend on which other
+antennas or columns are kept: the compressed blocks are an exact subset
+of the full array's for the same seed.  Every stream is consumed in time
+order, independent of the block count, the chunk size and the
+compression, and the last chunk is computed at full size before it is
+cut, so enlarging N_n appends blocks and leaves every earlier one
+bit-identical.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ _CHUNK_SAMPLES = 1 << 14
 
 _SNAP_MAGIC = b"JAFSSNAP"
 
-# element type of every block block_chunks yields; the draws are float64
+# element type of every block block_chunks yields; the uniforms are float64
 BLOCK_DTYPE = np.dtype(np.complex64)
 
 # name prefix of block_chunks' draw threads
@@ -170,7 +176,8 @@ def source_rng(master_seed: int, source_index: int) -> np.random.Generator:
 
 def noise_rng(master_seed: int, mark: int = 0) -> np.random.Generator:
     """The additive noise of the antenna at ``mark`` on the underlying
-    ULA, on SFC64: N_t circular complex normals per block, in time order."""
+    ULA, on SFC64: a pair of uniforms for each of the N_t circular complex
+    normals of a block, in time order."""
     return _stream(master_seed, _STREAM_NOISE, mark)
 
 
@@ -237,6 +244,33 @@ def _fir_blocks(white: np.ndarray, tap_matrix: np.ndarray, n_t: int) -> np.ndarr
     return out
 
 
+def _circular_normals(u: np.ndarray, sigma: float, out: np.ndarray) -> None:
+    """Circular complex normals of variance sigma**2 into the complex64
+    ``out``, one per pair of float64 uniforms in ``u`` (shape out.shape
+    + (2,)), by the polar form of Box-Muller: |z|**2 is exponential and
+    the phase uniform, so z = sigma * sqrt(-ln(1-u0)) * exp(2j*pi*u1).
+
+    1-u0 is formed in float64 and rounded to float32, where it is never
+    0 (at least 2**-53, so the radius is at most sqrt(53 ln 2) = 6.06
+    sigma); the logarithm, square root, scaling, cosine and sine run in
+    float32, the cosine and sine apart.  A product past float32 range
+    is left in ``out`` as inf or nan, without a warning, for the
+    caller's finiteness check."""
+    radius = np.empty(out.shape, dtype=np.float32)
+    phase = np.empty(out.shape, dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(1.0, u[..., 0], out=radius, casting="same_kind")
+        np.log(radius, out=radius)
+        np.negative(radius, out=radius)
+        np.sqrt(radius, out=radius)
+        np.multiply(radius, sigma, out=radius, dtype=np.float32)
+        np.multiply(u[..., 1], 2 * np.pi, out=phase, casting="same_kind")
+        np.cos(phase, out=out.real)
+        np.multiply(out.real, radius, out=out.real)
+        np.sin(phase, out=phase)
+        np.multiply(phase, radius, out=out.imag)
+
+
 def synth_source(
     spec: SourceSpec,
     total_samples: int,
@@ -247,18 +281,19 @@ def synth_source(
     through the band's FIR taps.  The first n_taps-1 filter outputs are
     transient and discarded, so every returned sample is stationary.
     Computed as block_chunks computes each source, blocks of n_taps
-    samples at a time; the input draws run to the end of the last block."""
+    samples at a time; the input draws run to the end of the last block.
+    The inputs are drawn as block_chunks draws them, in complex64, and
+    filtered in complex128."""
     if total_samples < 0:
         raise ValueError("total_samples must be >= 0")
     taps = design_bandpass(spec.band, n_taps)
     n_in = -(-total_samples // n_taps) * n_taps + n_taps - 1
-    white = np.empty(n_in, dtype=complex)
-    rng.standard_normal(out=white.view(np.float64))
-    white *= np.sqrt(spec.input_variance / 2.0)
+    white = np.empty(n_in, dtype=BLOCK_DTYPE)
+    _circular_normals(rng.random((n_in, 2)), np.sqrt(spec.input_variance), white)
     if total_samples == 0:
         return np.zeros(0, dtype=complex)
     full = _tap_matrix(taps, range(n_taps), n_taps)
-    return _fir_blocks(white, full, n_taps).ravel()[:total_samples]
+    return _fir_blocks(white.astype(complex), full, n_taps).ravel()[:total_samples]
 
 
 def chunk_blocks(n_t: int) -> int:
@@ -357,10 +392,10 @@ def block_chunks(
     """The one simulator: N_n blocks as the sampler sees them, in chunks
     of chunk_blocks(N_t) blocks, each a fresh (blocks, M_s, M_t)
     BLOCK_DTYPE (complex64) array of the active antenna rows (mark order)
-    and coset columns (row order).  The normals are drawn into float64
-    buffers and scaled there, then rounded once to complex64; the FIRs
-    and the steering run in complex64, and estimate.accumulate_gram sums
-    their Gram in complex128.
+    and coset columns (row order).  The normals are float32 polar
+    transforms of float64 uniforms (_circular_normals), written straight
+    into complex64; the FIRs and the steering run in complex64, and
+    estimate.accumulate_gram sums their Gram in complex128.
 
     Block n holds the ULA samples n*N_t .. (n+1)*N_t - 1.  Source k
     contributes steering_vector(theta_k) times its FIR-filtered white
@@ -368,7 +403,8 @@ def block_chunks(
     time sample.  Each source stream and each active antenna's noise
     stream (noise_rng of its mark) is drawn for all N_t Nyquist samples
     of a block, in time order, and only the coset columns are computed
-    further.  The last chunk is computed at full size and cut, so a
+    further: a noise stream's uniforms at the other columns are drawn
+    and dropped.  The last chunk is computed at full size and cut, so a
     block's value never depends on N_n: the blocks of a shorter run are a
     bit-exact prefix of a longer one.  Raises ValueError on non-finite
     data, chunk by chunk.
@@ -393,7 +429,7 @@ def block_chunks(
     n_chunks = -(-n_blocks // per)
     if n_chunks < 1:
         return
-    noise_scale = np.sqrt(noise_variance / 2.0)
+    noise_sigma = np.sqrt(noise_variance)
     noise_rngs = (
         [noise_rng(master_seed, m) for m in geometry.active_marks]
         if noise_variance > 0
@@ -403,48 +439,46 @@ def block_chunks(
     steer = np.array(
         [steering_vector(s.true_doa, geometry.positions) for s in sources]
     ).T.astype(BLOCK_DTYPE)
-    # per source: stream, input scale, tap matrix, input window buffer
+    # per source: stream, input sigma, tap matrix, input window buffer
     # whose last N_t-1 samples carry over to the next chunk
     feeds = [
         (
             source_rng(master_seed, k),
-            np.sqrt(spec.input_variance / 2.0),
+            np.sqrt(spec.input_variance),
             _tap_matrix(design_bandpass(spec.band, n_t).astype(BLOCK_DTYPE), cols, n_t),
             np.empty(span + n_t - 1, dtype=BLOCK_DTYPE),
         )
         for k, spec in enumerate(sources)
     ]
     filtered = np.empty((len(sources), per, m_t), dtype=BLOCK_DTYPE)
-    # each draw thread's complex128 buffers: the normals are drawn and
-    # scaled in float64, then rounded once into the complex64 blocks
+    # each draw thread's float64 uniform pairs, one per complex normal
     local = threading.local()
 
     def thread_buffer(name, shape):
         buf = getattr(local, name, None)
         if buf is None:
-            buf = np.empty(shape, dtype=complex)
+            buf = np.empty(shape + (2,))
             setattr(local, name, buf)
         return buf
 
     def draw_noise(chunk, i, rng):
-        noise = thread_buffer("noise", (per, n_t))
+        uniforms = thread_buffer("noise", (per, n_t))
         kept = thread_buffer("kept", (per, m_t))
-        rng.standard_normal(out=noise.view(np.float64))
-        # mode="clip" writes straight into kept; "raise" buffers out.
-        # The take does not cast: a cast in np.take on these threads
-        # emits spurious "invalid value" warnings, the multiply's does not
-        np.take(noise, cols, axis=1, out=kept, mode="clip")
-        np.multiply(kept, noise_scale, out=chunk[:, i, :])
+        rng.random(out=uniforms)
+        # every column is drawn, only the kept ones are transformed;
+        # mode="clip" writes straight into kept, "raise" buffers out
+        np.take(uniforms, cols, axis=1, out=kept, mode="clip")
+        _circular_normals(kept, noise_sigma, chunk[:, i, :])
 
-    def draw_source(rng, scale, white, first):
+    def draw_source(rng, sigma, white, first):
         if first:
             fresh = white
         else:
             white[: n_t - 1] = white[span:]
             fresh = white[n_t - 1 :]
-        normals = thread_buffer("source", len(white))[: len(fresh)]
-        rng.standard_normal(out=normals.view(np.float64))
-        np.multiply(normals, scale, out=fresh)
+        uniforms = thread_buffer("source", (len(white),))[: len(fresh)]
+        rng.random(out=uniforms)
+        _circular_normals(uniforms, sigma, fresh)
 
     def start_chunk():
         if not noise_rngs:
@@ -461,8 +495,8 @@ def block_chunks(
     try:
         chunk, noise_tasks = start_chunk()
         source_tasks = [
-            pool.submit(draw_source, rng, scale, white, True)
-            for rng, scale, _, white in feeds
+            pool.submit(draw_source, rng, sigma, white, True)
+            for rng, sigma, _, white in feeds
         ]
         for n in range(n_chunks):
             for task in noise_tasks:
@@ -470,11 +504,11 @@ def block_chunks(
             ahead = n + 1 < n_chunks
             if ahead:
                 next_chunk, noise_tasks = start_chunk()
-            for k, (rng, scale, taps, white) in enumerate(feeds):
+            for k, (rng, sigma, taps, white) in enumerate(feeds):
                 source_tasks[k].result()
                 filtered[k] = _fir_blocks(white, taps, n_t)
                 if ahead:
-                    source_tasks[k] = pool.submit(draw_source, rng, scale, white, False)
+                    source_tasks[k] = pool.submit(draw_source, rng, sigma, white, False)
             if feeds:
                 steered = steer @ filtered.reshape(len(feeds), per * m_t)
                 chunk += steered.reshape(-1, per, m_t).transpose(1, 0, 2)
@@ -493,10 +527,12 @@ def block_chunks(
 def normals_drawn(
     n_sources: int, m_active: int, n_t: int, n_blocks: int, noisy: bool
 ) -> int:
-    """Complex normals block_chunks draws for N_n blocks: N_t per block
-    for each source and, when ``noisy``, each active antenna, over whole
-    chunks, plus the N_t-1 inputs each source's FIR reads past the last
-    whole chunk."""
+    """Complex normals block_chunks draws for N_n blocks, one uniform
+    pair each: N_t per block for each source and, when ``noisy``, each
+    active antenna, over whole chunks, plus the N_t-1 inputs each
+    source's FIR reads past the last whole chunk.  A noise stream's
+    pairs outside the coset columns count too: they are drawn, though
+    not transformed."""
     per = chunk_blocks(n_t)
     chunks = -(-n_blocks // per)
     streams = n_sources + (m_active if noisy else 0)
@@ -516,18 +552,22 @@ def block_buffer_bytes(
     samples, its (2N_t-1, M_t) tap matrix and its filtered (blocks, M_t)
     outputs; the steering matrix; and the larger of the two temporaries
     on the calling thread, a FIR's two (blocks, M_t) products or the
-    steered (M_s, blocks*M_t) product.  In complex128 (16 bytes), the
-    float64 draws: per draw thread that draws noise, a (blocks, N_t)
-    buffer and the (blocks, M_t) columns taken from it; per draw thread
-    that draws source inputs, a buffer of one chunk plus N_t-1 samples.
+    steered (M_s, blocks*M_t) product.  Per draw thread, for each
+    complex normal it draws, a pair of float64 uniforms (16 bytes), and
+    for each it transforms, a float32 radius and phase (8 bytes): a
+    thread that draws noise holds (blocks, N_t) uniform pairs, the
+    (blocks, M_t) kept ones taken from them and their radii and phases;
+    a thread that draws source inputs holds one chunk plus N_t-1
+    samples of uniform pairs, radii and phases.
     """
-    value, drawn = BLOCK_DTYPE.itemsize, np.dtype(complex).itemsize
+    value, uniforms, polar = BLOCK_DTYPE.itemsize, 16, 8
     per = chunk_blocks(n_t)
     window = (per + 1) * n_t - 1
     chunk = value * per * m_active * m_t
     per_source = value * (window + (2 * n_t - 1) * m_t + per * m_t)
-    noise = drawn * per * (n_t + m_t) * min(threads, m_active) if noisy else 0
-    source_draws = drawn * window * min(threads, n_sources)
+    noise_thread = per * (uniforms * (n_t + m_t) + polar * m_t)
+    noise = noise_thread * min(threads, m_active) if noisy else 0
+    source_draws = (uniforms + polar) * window * min(threads, n_sources)
     # without sources the largest temporary is np.isfinite's mask
     temporary = max(2 * value * per * m_t, chunk) if n_sources else chunk // value
     steer = value * m_active * n_sources

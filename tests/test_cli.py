@@ -333,12 +333,15 @@ def test_run_scenario_memory_flat_in_block_count(tmp_path):
     assert peaks[200_000] <= 1.5 * peaks[20_000], peaks
 
 
-def test_simulator_memory_is_flat_and_within_the_prediction():
+@pytest.mark.parametrize("scenario_path", [SMOKE, FLAGSHIP], ids=["smoke", "flagship"])
+def test_simulator_memory_is_flat_and_within_the_prediction(scenario_path):
     # block_chunks holds three chunks at most (the caller's, the one being
     # finished, the one drawn ahead), whatever the block count; the Gram
     # adds its own temporaries: a conjugated chunk, a chunk's D x D Gram
-    # in the blocks' type and the running sum in complex128
-    cfg = replace(load_scenario(SMOKE), workers=2)
+    # in the blocks' type and the running sum in complex128.  The flagship
+    # (N_t = 84, M_t = 34) weights the draw buffers otherwise than smoke
+    # (N_t = 8, M_t = 5): it transforms 34 of every 84 noise uniform pairs
+    cfg = replace(load_scenario(scenario_path), workers=2)
     per = simulate.chunk_blocks(cfg.n_t)
     d = len(cfg.marks) * cfg.m_t
     value = simulate.BLOCK_DTYPE.itemsize
@@ -973,9 +976,9 @@ def test_predicted_normals_match_the_draws(tmp_path, monkeypatch):
         def __init__(self, rng):
             self.rng = rng
 
-        def standard_normal(self, *, out):
+        def random(self, *, out):
             drawn.append(out.size // 2)
-            return self.rng.standard_normal(out=out)
+            return self.rng.random(out=out)
 
     for name in ("noise_rng", "source_rng"):
         orig = getattr(simulate, name)

@@ -165,13 +165,19 @@ def test_empirical_pairs_converge_to_oracle():
 
 
 def test_recovered_lags_match_oracle_table():
+    # the relative error's mean over 16 seeds, not one realization: about
+    # one seed in ten exceeds 0.1 alone, while the mean (about 0.094) does
+    # not, and a simulator 5% off in power raises it to about 0.11
     geo, grid, pattern, sources = smoke_setup()
     exact = exact_correlations(sources, geo, grid, pattern, 5.0)
-    snaps = ula_snapshots(sources, geo, 5.0, 4000, 8, master_seed=1)
-    z = temporal_compress(spatial_compress(snaps, geo), pattern)
-    corr = recover_lags(build_rct(pattern), pair_correlations(z))
-    err = np.linalg.norm(corr - exact.table) / np.linalg.norm(exact.table)
-    assert err < 0.1
+    rct = build_rct(pattern)
+    errs = []
+    for seed in range(16):
+        snaps = ula_snapshots(sources, geo, 5.0, 4000, 8, master_seed=seed)
+        z = temporal_compress(spatial_compress(snaps, geo), pattern)
+        corr = recover_lags(rct, pair_correlations(z))
+        errs.append(np.linalg.norm(corr - exact.table) / np.linalg.norm(exact.table))
+    assert np.mean(errs) < 0.1, errs
 
 
 @st.composite

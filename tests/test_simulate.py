@@ -1,5 +1,6 @@
 """Source synthesis, array snapshots, compression, and snapshot I/O."""
 
+import math
 import os
 import sys
 import threading
@@ -113,6 +114,61 @@ def test_bandpass_rejects_unresolvable_width():
         design_bandpass((-0.1, 0.1), 0)
 
 
+# ------------------------------------------------------------- sampler
+
+
+def test_circular_normals_moments_and_marginal():
+    # 10**6 samples from one stream; each moment within 5 standard errors
+    # (|z|**2/sigma**2 is Exp(1): sd 1; z**2/sigma**2 has sd 1 per part;
+    # |z|**4/sigma**4 has sd sqrt(20))
+    n, sigma = 10**6, 1.7
+    z = np.empty(n, dtype=np.complex64)
+    simulate._circular_normals(source_rng(9, 0).random((n, 2)), sigma, z)
+    z = z.astype(complex)
+    power = np.abs(z) ** 2 / sigma**2
+    assert abs(power.mean() - 1) < 5 / np.sqrt(n)
+    assert abs(np.mean(z * z)) / sigma**2 < 5 / np.sqrt(n)
+    assert abs(np.mean(power**2) - 2) < 5 * np.sqrt(20 / n)
+    # each part is N(0, sigma**2/2): the empirical CDF within the
+    # Dvoretzky-Kiefer-Wolfowitz bound, exceeded with probability < 3e-8
+    points = np.array([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+    normal_cdf = np.array([0.5 * (1 + math.erf(x / np.sqrt(2))) for x in points])
+    for part in (z.real, z.imag):
+        x = np.sort(part / (sigma / np.sqrt(2)))
+        ecdf = np.searchsorted(x, points, side="right") / n
+        assert np.abs(ecdf - normal_cdf).max() < 3 / np.sqrt(n)
+
+
+@pytest.mark.parametrize(
+    "u0, radius", [(1 - 2.0**-53, np.sqrt(53 * np.log(2))), (0.0, 0.0)]
+)
+def test_circular_normals_at_the_ends_of_the_uniforms(monkeypatch, u0, radius):
+    # a stub noise stream whose every radius uniform is u0: the largest
+    # float64 uniform below 1 gives the largest radius, finite and without
+    # a warning (pytest turns RuntimeWarnings into errors); 0 gives 0
+    class Constant:
+        def random(self, *, out):
+            out[..., 0] = u0
+            out[..., 1] = 0.125
+
+    monkeypatch.setattr(simulate, "noise_rng", lambda *a: Constant())
+    sigma = 1.5
+    z = compressed_blocks((), small_geometry(), CosetPattern(8, (0, 3)), sigma**2, 5, 0).blocks
+    assert np.isfinite(z).all()
+    np.testing.assert_allclose(np.abs(z), sigma * radius, rtol=1e-6)
+    np.testing.assert_allclose(np.angle(z[z != 0]), np.pi / 4, rtol=1e-6)
+
+
+def test_huge_noise_variance_is_refused_as_non_finite():
+    # past float32 range the draws overflow: the chunk's finiteness check
+    # reports it, not a RuntimeWarning from a draw thread
+    chunks = block_chunks(
+        (), ArrayGeometry(2, 0.5, (0, 1)), CosetPattern(1, (0,)), 1e80, 10, 0, 1
+    )
+    with pytest.raises(ValueError, match="blocks must be finite"):
+        next(chunks)
+
+
 # ------------------------------------------------------------- sources
 
 
@@ -140,9 +196,12 @@ def test_synth_source_matches_direct_convolution(total, n_taps):
     # the blocked FIR against numpy's direct 'valid' convolution of the
     # same input draws; only the summation order differs
     spec = SourceSpec(0.0, (-0.3 * np.pi, 0.4 * np.pi), 2.0)
-    draws = source_rng(4, 0).standard_normal((total + n_taps - 1, 2))
-    white = np.sqrt(spec.input_variance / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
-    expect = np.convolve(white, design_bandpass(spec.band, n_taps), mode="valid")
+    draws = source_rng(4, 0).random((total + n_taps - 1, 2))
+    white = np.empty(len(draws), dtype=np.complex64)
+    simulate._circular_normals(draws, np.sqrt(spec.input_variance), white)
+    expect = np.convolve(
+        white.astype(complex), design_bandpass(spec.band, n_taps), mode="valid"
+    )
     got = synth_source(spec, total, n_taps, source_rng(4, 0))
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
 
@@ -320,9 +379,9 @@ def test_draws_run_on_the_pool_and_filters_on_the_caller(monkeypatch):
         def __init__(self, rng):
             self.rng = rng
 
-        def standard_normal(self, *, out):
+        def random(self, *, out):
             draw_threads_seen.add(threading.current_thread().name)
-            return self.rng.standard_normal(out=out)
+            return self.rng.random(out=out)
 
     for name in ("noise_rng", "source_rng"):
         orig = getattr(simulate, name)
@@ -360,11 +419,11 @@ def test_failed_draw_is_raised_and_stops_the_draw_threads(monkeypatch, stream, n
         def __init__(self, rng):
             self.rng = rng
 
-        def standard_normal(self, *, out):
+        def random(self, *, out):
             calls.append(1)
             if len(calls) == n_streams + 1:
                 raise RuntimeError("stream failed")
-            return self.rng.standard_normal(out=out)
+            return self.rng.random(out=out)
 
     orig = getattr(simulate, stream)
     monkeypatch.setattr(simulate, stream, lambda *a: FailsInSecondChunk(orig(*a)))
