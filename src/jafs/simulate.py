@@ -504,16 +504,21 @@ def block_chunks(
             ahead = n + 1 < n_chunks
             if ahead:
                 next_chunk, noise_tasks = start_chunk()
-            for k, (rng, sigma, taps, white) in enumerate(feeds):
-                source_tasks[k].result()
-                filtered[k] = _fir_blocks(white, taps, n_t)
-                if ahead:
-                    source_tasks[k] = pool.submit(draw_source, rng, sigma, white, False)
-            if feeds:
-                steered = steer @ filtered.reshape(len(feeds), per * m_t)
-                chunk += steered.reshape(-1, per, m_t).transpose(1, 0, 2)
-                # not held across the yield
-                del steered
+            # inputs past float32 range make inf - inf in the products;
+            # the finiteness check below reports them
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, (rng, sigma, taps, white) in enumerate(feeds):
+                    source_tasks[k].result()
+                    filtered[k] = _fir_blocks(white, taps, n_t)
+                    if ahead:
+                        source_tasks[k] = pool.submit(
+                            draw_source, rng, sigma, white, False
+                        )
+                if feeds:
+                    steered = steer @ filtered.reshape(len(feeds), per * m_t)
+                    chunk += steered.reshape(-1, per, m_t).transpose(1, 0, 2)
+                    # not held across the yield
+                    del steered
             chunk = chunk[: n_blocks - n * per]
             if not np.isfinite(chunk).all():
                 raise ValueError("blocks must be finite")

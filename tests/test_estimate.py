@@ -34,8 +34,8 @@ from jafs.model import (
 )
 from jafs.oracle import (
     exact_correlations,
+    true_correlation_table,
     true_source_autocorr,
-    true_vec_ry,
 )
 from jafs.scenario import load_scenario, resolve
 from jafs.simulate import (
@@ -379,13 +379,7 @@ def test_recover_angular_joint_branch_on_nondegenerate_grid():
     grid_lags = np.zeros((5, 2 * n_t - 1), dtype=complex)
     grid_lags[:, 0] = powers
     sigma = 1.7
-    vec_ry = np.stack(
-        [
-            true_vec_ry(geo, grid, grid_lags, sigma, k)
-            for k in range(2 * n_t - 1)
-        ],
-        axis=1,
-    )
+    vec_ry = assemble_all(true_correlation_table(geo, grid, grid_lags, sigma))
     rec = recover_angular(mats, vec_ry, noise_mode="estimate")
     assert rec.noise_path == "augmented"
     assert rec.sigma_n_hat == pytest.approx(sigma, abs=1e-9)

@@ -1,20 +1,25 @@
-"""Closed-form correlation oracles and the uncompressed reference run."""
+"""Closed-form correlation oracles: source autocorrelations, grid
+placement, the pair-lag table and its compressed lookup, checked against
+independent references, empirical data and the estimator."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jafs.estimate import build_rct, pair_correlations, recover_lags
+from jafs.estimate import (
+    assemble_all,
+    build_rct,
+    pair_correlations,
+    recover_angular,
+    recover_lags,
+)
 from jafs.geometry import solve_sparse_ruler
-from jafs.model import ArrayGeometry, inverse_sin_grid
+from jafs.model import ArrayGeometry, inverse_sin_grid, manifold_and_kr
 from jafs.oracle import (
     exact_correlations,
-    nyquist_reference,
     place_on_grid,
     true_correlation_table,
-    true_pair_correlations,
     true_source_autocorr,
-    true_vec_ry,
 )
 from jafs.simulate import (
     CosetPattern,
@@ -99,23 +104,24 @@ def test_place_on_grid_colocated_sources_add():
     np.testing.assert_allclose(two, one * (5.0 / 2.0), atol=1e-14)
 
 
-# ------------------------------------------------------------ vec(R_y)
+# ------------------------------------------------------- pair-lag table
 
 
-def test_true_vec_ry_noise_only():
+def test_true_table_noise_only():
     geo, grid, _, _ = smoke_setup()
     lags = np.zeros((15, 15), dtype=complex)
-    vec0 = true_vec_ry(geo, grid, lags, 2.0, 0)
-    np.testing.assert_allclose(vec0, 2.0 * np.eye(5).flatten(order="F"))
-    assert np.abs(true_vec_ry(geo, grid, lags, 2.0, 3)).max() == 0
+    table = true_correlation_table(geo, grid, lags, 2.0)
+    np.testing.assert_allclose(table[:, :, 0], 2.0 * np.eye(5))
+    assert np.abs(table[:, :, 3]).max() == 0
 
 
-def test_true_vec_ry_single_source_is_kronecker():
+def test_true_table_single_source_is_kronecker():
     geo, grid, _, _ = smoke_setup()
     q = 11
     lags = np.zeros((15, 15), dtype=complex)
     lags[q, 2] = 1.5 + 0.5j
-    vec = true_vec_ry(geo, grid, lags, 0.0, 2)
+    # vec(R_y[2]) in column-major order: entry i + j*M_s is pair (i, j)
+    vec = true_correlation_table(geo, grid, lags, 0.0)[:, :, 2].flatten(order="F")
     b = np.exp(2j * np.pi * geo.positions * np.sin(grid.angles[q]))
     np.testing.assert_allclose(vec, np.kron(np.conj(b), b) * (1.5 + 0.5j), atol=1e-12)
 
@@ -207,44 +213,20 @@ def exact_scenes(draw):
 @settings(max_examples=60, deadline=None)
 @given(scene=exact_scenes())
 def test_recovered_lags_pair_hermitian_on_exact_data(scene):
-    # values[i, j, -k] = conj(values[j, i, k]) for every pair and lag
+    # values[i, j, -k] = conj(values[j, i, k]) for every pair and lag, and
+    # the angular step with the noise power known returns the exact
+    # per-angle lags
     geo, grid, pattern, sources, noise = scene
     exact = exact_correlations(sources, geo, grid, pattern, noise)
     corr = recover_lags(build_rct(pattern), exact.pair_vecs)
     n_lags = corr.shape[2]
     mirrored = corr[:, :, -np.arange(n_lags) % n_lags]
     np.testing.assert_allclose(mirrored, np.conj(corr.transpose(1, 0, 2)), atol=1e-10)
-
-
-# --------------------------------------------------- uncompressed reference
-
-
-def test_nyquist_reference_tracks_truth():
-    geo, grid, pattern, sources = smoke_setup()
-    truth_spec = np.fft.fft(place_on_grid(sources, grid, 8), axis=1)
-
-    def run(n_blocks):
-        spec = nyquist_reference(sources, 8, 0.5, grid, 5.0, n_blocks, 8, 0)
-        err = np.linalg.norm(spec.values - truth_spec) / np.linalg.norm(truth_spec)
-        return spec, err
-
-    spec_fine, err_fine = run(2000)
-    _, err_coarse = run(200)
-    assert err_fine < 0.15
-    assert err_fine < err_coarse
-    assert abs(spec_fine.sigma_n_hat - 5.0) / 5.0 < 0.05
-
-
-def test_nyquist_reference_noiseless_band_mass():
-    grid = inverse_sin_grid(15)
-    src = SourceSpec(0.0, (-0.1 * np.pi, 0.2 * np.pi), 5.0)
-    spec = nyquist_reference((src,), 8, 0.5, grid, 0.0, 600, 8, 3)
-    p = spec.clamped_real()
-    row = p[7]
-    # nearly all recovered power sits in the source row and its band
-    assert row.sum() / p.sum() > 0.9
-    guard = 4 * np.pi / 8
-    inband = (spec.freq_grid >= -0.1 * np.pi - guard) & (
-        spec.freq_grid <= 0.2 * np.pi + guard
+    rec = recover_angular(
+        manifold_and_kr(geo, grid),
+        assemble_all(corr),
+        noise_mode="known",
+        noise_variance=noise,
     )
-    assert row[inband].sum() / row.sum() > 0.9
+    scale = max(np.linalg.norm(exact.grid_lags), 1.0)
+    assert np.linalg.norm(rec.source_lags - exact.grid_lags) <= 1e-8 * scale

@@ -169,6 +169,29 @@ def test_huge_noise_variance_is_refused_as_non_finite():
         next(chunks)
 
 
+@pytest.mark.parametrize(
+    "source_variance, noise_variance", [(1e80, 1.0), (1.0, 1e80), (1e80, 1e80)]
+)
+def test_huge_variance_with_a_source_is_refused_as_non_finite(
+    source_variance, noise_variance
+):
+    # a source past float32 range overflows in the FIR and steering
+    # products, noise past it in the draws: the chunk's finiteness check
+    # reports either, not a RuntimeWarning from a product
+    src = SourceSpec(0.0, (-0.5 * np.pi, 0.5 * np.pi), source_variance)
+    chunks = block_chunks(
+        (src,),
+        ArrayGeometry(2, 0.5, (0, 1)),
+        CosetPattern(4, (0, 1, 2, 3)),
+        noise_variance,
+        10,
+        0,
+        1,
+    )
+    with pytest.raises(ValueError, match="blocks must be finite"):
+        next(chunks)
+
+
 # ------------------------------------------------------------- sources
 
 
