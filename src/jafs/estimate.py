@@ -61,49 +61,13 @@ class RankDeficiencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RepetitionMatrix:
-    """0/1 matrix T mapping a canonical lag vector to the column-major
-    vectorization of the corresponding N_t x N_t Toeplitz matrix.
-
-    Row i (1-based) selects row ((i-1 + (N_t-2)*floor((i-1)/N_t)) mod
-    (2N_t-1)) + 1 of the identity; equivalently, the entry of vec(R) at
-    (a, b) is the lag a-b, wrapped.
-    """
-
-    n_t: int
-    row_targets: tuple  # 1-based targets, per row of T
-
-    @property
-    def n_lags(self) -> int:
-        return 2 * self.n_t - 1
-
-    def as_dense(self) -> np.ndarray:
-        T = np.zeros((self.n_t ** 2, self.n_lags))
-        T[np.arange(self.n_t ** 2), np.asarray(self.row_targets) - 1] = 1.0
-        return T
-
-    def apply(self, lag_vector: np.ndarray) -> np.ndarray:
-        """vec(Toeplitz(r)) without materializing T."""
-        r = np.asarray(lag_vector)
-        if r.shape[-1] != self.n_lags:
-            raise ValueError(f"lag vector must have length {self.n_lags}")
-        return r[..., np.asarray(self.row_targets) - 1]
-
-
-def repetition_matrix(n_t: int) -> RepetitionMatrix:
-    if n_t < 1:
-        raise ValueError("N_t must be >= 1")
-    i = np.arange(n_t ** 2)
-    targets = (i + (n_t - 2) * (i // n_t)) % (2 * n_t - 1) + 1
-    return RepetitionMatrix(n_t=n_t, row_targets=tuple(int(t) for t in targets))
-
-
-@dataclass(frozen=True)
 class RctMatrix:
     """Selection-sum system (C_t kron C_t) T relating compressed pair
     correlations to uncompressed lags.  Every row has exactly one 1, at
     the column of the lag realized by that coset row pair; stored as that
-    column index per row."""
+    column index per row.  With every row kept (C_t = I) it is the
+    repetition matrix T itself, which maps a canonical lag vector to the
+    column-major vec of its N_t x N_t Toeplitz matrix."""
 
     n_t: int
     m_t: int
@@ -132,6 +96,14 @@ class RctMatrix:
         R[np.arange(self.m_t ** 2), self.col_index] = 1.0
         return R
 
+    def apply(self, lag_vector: np.ndarray) -> np.ndarray:
+        """The forward map without materializing it: entry p + q*M_t is
+        the lag rows[p] - rows[q] of the canonical lag vector."""
+        r = np.asarray(lag_vector)
+        if r.shape[-1] != self.n_lags:
+            raise ValueError(f"lag vector must have length {self.n_lags}")
+        return r[..., self.col_index]
+
 
 def build_rct(pattern: CosetPattern) -> RctMatrix:
     """Rows of the compressed-correlation system, one per ordered coset
@@ -142,6 +114,11 @@ def build_rct(pattern: CosetPattern) -> RctMatrix:
     # pair (p, q) sits at vec index p + q*m_t
     lag = (rows[:, None] - rows[None, :]) % (2 * pattern.n_t - 1)  # lag[p, q]
     return RctMatrix(n_t=pattern.n_t, m_t=pattern.m_t, col_index=lag.flatten(order="F"))
+
+
+def repetition_matrix(n_t: int) -> RctMatrix:
+    """The repetition matrix T: build_rct of the pattern keeping every row."""
+    return build_rct(CosetPattern(n_t, tuple(range(n_t))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +142,8 @@ def block_gram(blocks: np.ndarray) -> np.ndarray:
     """Sum over blocks of vec(z) vec(z)^H for (N_n, M_s, M_t) blocks, one
     deterministic matrix product.  Row and column (i, a) sit at index
     i*M_t + a, so entry [(i,a), (j,b)] = sum_n z_i[n][a] conj(z_j[n][b])."""
-    w = blocks.reshape(blocks.shape[0], -1)
+    n_blocks, m_s, m_t = blocks.shape
+    w = blocks.reshape(n_blocks, m_s * m_t)
     return w.T @ w.conj()
 
 
@@ -174,9 +152,9 @@ def accumulate_gram(chunks: Iterable[np.ndarray]):
     returns (gram, block count).  Only one chunk is held at a time.
     Each chunk's Gram is computed in the chunk's precision and summed in
     complex128, so rounding does not build up over the chunks.  Raises
-    ValueError when the sum is not finite, as when a chunk's complex64
-    products overflow (block values of order 1e17 and up); the overflow
-    itself is not warned of."""
+    ValueError when the chunks hold no block, and when the sum is not
+    finite, as when a chunk's complex64 products overflow (block values
+    of order 1e17 and up); the overflow itself is not warned of."""
     gram, n_blocks = None, 0
     for chunk in chunks:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -185,7 +163,7 @@ def accumulate_gram(chunks: Iterable[np.ndarray]):
             else:
                 gram += block_gram(chunk)
         n_blocks += chunk.shape[0]
-    if gram is None:
+    if n_blocks == 0:
         raise ValueError("no blocks to correlate")
     if not np.isfinite(gram).all():
         raise ValueError("the blocks' Gram is not finite")
@@ -199,6 +177,8 @@ def pair_vectors(gram: np.ndarray, n_blocks: int, m_t: int) -> np.ndarray:
     Entry [i, j, a + b*M_t] = (1/N_n) sum_n z_i[n][a] * conj(z_j[n][b]),
     i.e. vec(R_hat_{z_i,z_j}) column-major.
     """
+    if not n_blocks >= 1:
+        raise ValueError("n_blocks must be >= 1")
     size = gram.shape[0]
     if gram.shape != (size, size) or size % m_t:
         raise ValueError(f"gram must be square with a multiple of M_t={m_t} rows")
@@ -346,8 +326,8 @@ def recover_angular(
     noise_col = weight * _group_means(manifold.noise_column, index, counts)
     rhs = weight[:, None] * means
     if noise_mode == "known":
-        if noise_variance is None:
-            raise ValueError("noise_mode='known' requires noise_variance")
+        if noise_variance is None or not np.isfinite(noise_variance):
+            raise ValueError("noise_mode='known' requires a finite noise_variance")
         noise_path, sigma_hat = "known", float(noise_variance)
         rhs[:, 0] -= sigma_hat * noise_col
     elif noise_mode != "estimate":
@@ -435,7 +415,14 @@ def spectrum_from_gram(
     """The whole estimator, stages 1-5: the summed block Gram of N_n
     compressed blocks to (AngularRecovery, SpectrumMatrix).
     ``noise_variance`` is the configured one; it reaches the angular
-    solve only when ``noise_mode`` is "known"."""
+    solve only when ``noise_mode`` is "known".  Raises ValueError on a
+    Gram that is not finite or not (M_s*M_t) x (M_s*M_t) for the design."""
+    gram = np.asarray(gram)
+    width = design.geometry.m_active * design.pattern.m_t
+    if gram.shape != (width, width):
+        raise ValueError(f"gram must be {width} x {width} (M_s*M_t) for this design")
+    if not np.isfinite(gram).all():
+        raise ValueError("gram must be finite")
     corr = recover_lags(design.rct, pair_vectors(gram, n_blocks, design.pattern.m_t))
     rec = recover_angular(
         design.manifold,

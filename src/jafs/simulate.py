@@ -420,7 +420,7 @@ def block_chunks(
     the generator, or a failed draw, shuts the pool down after its
     running tasks end.
     """
-    if noise_variance < 0:
+    if not noise_variance >= 0:
         raise ValueError("noise variance must be >= 0")
     n_t, m_s, m_t = pattern.n_t, geometry.m_active, pattern.m_t
     cols = np.asarray(pattern.rows)

@@ -614,6 +614,8 @@ FUZZ_TOKENS = st.one_of(
     st.integers(-20, 14).map(str),
     st.sampled_from(["nan", "inf", "-inf", "1e309", "", "abc"]),
 )
+# sweep's arguments in the run and sweep fuzz: two short runs
+FUZZ_SWEEP = ("--param", "n_blocks", "--values", "60,120")
 
 
 # an explicit grid, so that single angles can be fuzzed
@@ -623,23 +625,40 @@ EXPLICIT_TEXT = SMOKE.read_text().replace(
 )
 
 
-def certify_exits_cleanly(text):
+def exits_cleanly(text, command="certify"):
+    """certify exits 0, 2 or 3; run and sweep may also exit 4, a
+    numerical failure.  None prints a traceback."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.scenario"
         path.write_text(text)
+        argv = cli_args(command, path, Path(tmp), FUZZ_SWEEP)
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(["certify", str(path)])
-    assert code in (0, 2, 3)
+            code = main(argv)
+    assert code in ((0, 2, 3) if command == "certify" else (0, 2, 3, 4))
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def fuzzed_smoke(line, token):
+    lines = list(SMOKE_LINES)
+    lines[line] = lines[line].split(" = ", 1)[0] + " = " + token
+    return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=150, deadline=None)
 @given(line=st.sampled_from(SMOKE_VALUES), token=FUZZ_TOKENS)
 def test_cli_certify_fuzzed_smoke_value_exits_cleanly(line, token):
-    lines = list(SMOKE_LINES)
-    lines[line] = lines[line].split(" = ", 1)[0] + " = " + token
-    certify_exits_cleanly("\n".join(lines) + "\n")
+    exits_cleanly(fuzzed_smoke(line, token))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["run", "sweep"]),
+    line=st.sampled_from(SMOKE_VALUES),
+    token=FUZZ_TOKENS,
+)
+def test_cli_run_and_sweep_fuzzed_smoke_value_exit_cleanly(command, line, token):
+    exits_cleanly(fuzzed_smoke(line, token), command)
 
 
 @settings(max_examples=60, deadline=None)
@@ -650,7 +669,7 @@ def test_cli_certify_fuzzed_smoke_value_exits_cleanly(line, token):
 def test_cli_certify_fuzzed_explicit_angle_exits_cleanly(index, token):
     angles = list(EXPLICIT_ANGLES)
     angles[index] = angles[index - 1] if token == "neighbour" else token
-    certify_exits_cleanly(EXPLICIT_TEXT.format(" ".join(angles)))
+    exits_cleanly(EXPLICIT_TEXT.format(" ".join(angles)))
 
 
 def forbid_simulation(monkeypatch):

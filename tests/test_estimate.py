@@ -1,14 +1,16 @@
 """Lag recovery, angular recovery, spectrum, and peak picking."""
 
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from jafs.estimate import (
+    Design,
     RankDeficiencyError,
     accumulate_gram,
     assemble_all,
@@ -73,9 +75,9 @@ def random_lag_vector(rng, n_t, hermitian=True):
 
 
 def test_repetition_targets_small_cases():
-    assert repetition_matrix(1).row_targets == (1,)
-    assert repetition_matrix(2).row_targets == (1, 2, 3, 1)
-    assert repetition_matrix(3).row_targets == (1, 2, 3, 5, 1, 2, 4, 5, 1)
+    assert repetition_matrix(1).col_index.tolist() == [0]
+    assert repetition_matrix(2).col_index.tolist() == [0, 1, 2, 0]
+    assert repetition_matrix(3).col_index.tolist() == [0, 1, 2, 4, 0, 1, 3, 4, 0]
 
 
 def test_repetition_dense_shape_and_mass():
@@ -102,20 +104,18 @@ def test_repetition_and_full_pattern_rct_over_drawn_sizes(n_t, seed):
     rep = repetition_matrix(n_t)
     expected = toeplitz_from_lags(r, n_t).flatten(order="F")
     np.testing.assert_array_equal(rep.apply(r), expected)
-    # keeping every row makes the selection-sum matrix T itself
-    rct = build_rct(CosetPattern(n_t, tuple(range(n_t))))
-    np.testing.assert_array_equal(rct.col_index, np.asarray(rep.row_targets) - 1)
 
 
 # --------------------------------------------------------------- R_ct
 
 
 def test_rct_identity_pattern_equals_repetition():
-    pattern = CosetPattern(5, tuple(range(5)))
-    rct = build_rct(pattern)
-    np.testing.assert_array_equal(
-        rct.as_dense(), repetition_matrix(5).as_dense()
+    # column l of T is vec of the Toeplitz matrix of the l-th unit lag vector
+    T = np.column_stack(
+        [toeplitz_from_lags(e, 5).flatten(order="F") for e in np.eye(9)]
     )
+    rct = build_rct(CosetPattern(5, tuple(range(5))))
+    np.testing.assert_array_equal(rct.as_dense(), T)
     assert rct.full_column_rank
 
 
@@ -694,3 +694,134 @@ def test_accumulate_gram_overflow_raises_no_warning():
 def test_accumulate_gram_rejects_no_blocks():
     with pytest.raises(ValueError):
         accumulate_gram(iter(()))
+
+
+# ------------------------------------------------- library entry points
+
+DOCUMENTED = re.compile(
+    "noise variance must be >= 0|blocks must be finite|no blocks to correlate"
+    "|Gram is not finite|gram must be|n_blocks must be >= 1"
+    "|requires a finite noise_variance"
+)
+TINY = Design(
+    ArrayGeometry(3, 0.5, (0, 1, 2)), inverse_sin_grid(3), CosetPattern(4, (0, 1, 3))
+)
+VARIANCES = st.one_of(
+    st.floats(1e-45, 1e80),
+    st.sampled_from([0.0, -1.0, 1e-45, 3.4e38, 1e39, float("inf"), float("nan")]),
+)
+POKES = st.sampled_from([None, "zeros", float("inf"), float("nan"), -float("inf")])
+
+
+def poked(array, poke, rng):
+    """A copy of array holding the poke: all zeros, or one special entry."""
+    array = np.array(array)
+    if poke == "zeros":
+        array[...] = 0
+    elif poke is not None and array.size:
+        array.flat[rng.integers(array.size)] = poke
+    return array
+
+
+def finite_or_documented(call, *args):
+    """call(*args), or None when it raises a documented ValueError."""
+    try:
+        return call(*args)
+    except ValueError as err:
+        assert DOCUMENTED.search(str(err)), err
+        return None
+
+
+def assert_finite_estimate(result):
+    rec, spec = result
+    assert np.isfinite(rec.source_lags).all() and np.isfinite(rec.sigma_n_hat)
+    assert np.isfinite(spec.values).all()
+
+
+# pytest turns RuntimeWarning into an error, as a caller may: a warning
+# fails these tests as an undocumented error would
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source_variance=VARIANCES,
+    noise_variance=VARIANCES,
+    n_blocks=st.integers(-2, 6),
+    seed=st.integers(0, 2 ** 16),
+)
+@example(source_variance=1.0, noise_variance=float("nan"), n_blocks=5, seed=0)
+def test_block_chunks_give_finite_blocks_or_a_documented_error(
+    source_variance, noise_variance, n_blocks, seed
+):
+    sources = ()
+    if source_variance > 0:
+        sources = (SourceSpec(0.0, (-0.5 * np.pi, 0.5 * np.pi), source_variance),)
+    args = (sources, TINY.geometry, TINY.pattern, noise_variance, n_blocks, seed, 1)
+    chunks = finite_or_documented(lambda: list(block_chunks(*args)))
+    if not noise_variance >= 0:
+        assert chunks is None
+    elif chunks is not None:
+        assert sum(len(c) for c in chunks) == max(n_blocks, 0)
+        assert all(np.isfinite(c).all() for c in chunks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scale=st.floats(1e-30, 1e30),
+    wide=st.booleans(),
+    n_blocks=st.integers(0, 5),
+    split=st.integers(0, 5),
+    block_poke=POKES,
+    gram_poke=POKES,
+    gram_count=st.sampled_from([None, 0, -3]),
+    noise_mode=st.sampled_from(["estimate", "known"]),
+    noise_variance=VARIANCES,
+    seed=st.integers(0, 2 ** 16),
+)
+# an empty chunk; a NaN Gram; a Gram over no blocks; a NaN known variance
+@example(1.0, False, 3, 0, None, None, None, "estimate", 1.0, 0)
+@example(1.0, False, 3, 1, None, float("nan"), None, "estimate", 1.0, 0)
+@example(1.0, False, 3, 1, None, None, 0, "estimate", 1.0, 0)
+@example(1.0, False, 3, 1, None, None, None, "known", float("nan"), 0)
+def test_gram_entry_points_give_a_finite_estimate_or_a_documented_error(
+    scale, wide, n_blocks, split, block_poke, gram_poke, gram_count, noise_mode,
+    noise_variance, seed,
+):
+    rng = np.random.default_rng(seed)
+    shape = (n_blocks, 3, 3)
+    with np.errstate(over="ignore"):
+        blocks = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        blocks = blocks.astype(np.complex128 if wide else np.complex64)
+    blocks = poked(blocks, block_poke, rng)
+    split = min(split, n_blocks)
+    chunks = [blocks[:split], blocks[split:]]
+    folded = finite_or_documented(accumulate_gram, chunks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflows = not all(np.isfinite(block_gram(c)).all() for c in chunks)
+    assert (folded is None) == (n_blocks == 0 or overflows)
+    snapshots = finite_or_documented(SnapshotBlocks, blocks)
+    if snapshots is not None:
+        result = finite_or_documented(
+            spectrum_from_blocks, TINY, snapshots, noise_mode, noise_variance
+        )
+        if result is not None:
+            assert_finite_estimate(result)
+    if folded is not None:
+        gram, count = folded
+        result = finite_or_documented(
+            spectrum_from_gram,
+            TINY,
+            poked(gram, gram_poke, rng),
+            count if gram_count is None else gram_count,
+            noise_mode,
+            noise_variance,
+        )
+        if result is not None:
+            assert_finite_estimate(result)
+
+
+def test_spectrum_from_gram_refuses_a_gram_of_another_design():
+    # the Gram of 3 antennas and 2 coset rows is 6 x 6; TINY's is 9 x 9
+    gram = np.eye(6, dtype=complex)
+    with pytest.raises(ValueError, match="gram must be 9 x 9"):
+        spectrum_from_gram(TINY, gram, 1, "estimate", 1.0)

@@ -8,12 +8,17 @@ statement that runs on import, names it, as a bare name or as an
 attribute, in any module of the package.  Matching by name alone can
 only over-reach, so a definition this test calls unreachable is dead.
 
+The public methods and properties of a reached class are held to the
+same rule: each must be named as an attribute by a reached definition, a
+demo or the acceptance criteria.
+
 UNREACHABLE lists the definitions that no run path reaches yet, each
-with the ROADMAP item that will delete it or give it a caller.  The
-list may only shrink: the test also fails when a listed name becomes
+with the ROADMAP item that will delete it or give it a caller, and
+UNUSED_MEMBERS the members that only the unit tests name.  Both lists
+may only shrink: the tests also fail when a listed name becomes
 reachable or is no longer defined, so that it is taken off the list.  A
-change that adds a name to it declares that in CHANGES.md, as a change
-to a check."""
+change that adds a name to either declares that in CHANGES.md, as a
+change to a check."""
 
 import ast
 from pathlib import Path
@@ -33,6 +38,14 @@ UNREACHABLE = {
     # deletes them with the dump
     "simulate.write_snapshots": "item 14",
     "simulate.read_snapshots": "item 14",
+}
+
+UNUSED_MEMBERS = {
+    # the dense form of the selection-sum matrix, the unit tests'
+    # reference for the np.linalg.lstsq checks of the closed-form solve
+    "estimate.RctMatrix.as_dense": "unit-test reference",
+    # a ruler's mark count, which item 6 reports over lengths 14-300
+    "geometry.RulerSolution.cardinality": "item 6",
 }
 
 
@@ -82,16 +95,20 @@ def package_imports(tree):
     }
 
 
+ACCEPTANCE = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+
+
 def root_names():
     names = {"main"}  # cli.main
     for demo in sorted((ROOT / "demos").glob("*.py")):
         tree = ast.parse(demo.read_text())
         names |= referenced([tree]) | package_imports(tree)
-    acceptance = ROOT / "tests" / "test_acceptance.py"
-    return names | package_imports(ast.parse(acceptance.read_text()))
+    return names | package_imports(ACCEPTANCE)
 
 
-def unreachable():
+def closure():
+    """(every definition, the reached ones, every name the roots and the
+    reached definitions use)."""
     definitions, on_import = package_definitions()
     reached_names = root_names() | referenced(on_import)
     reached = set()
@@ -105,7 +122,28 @@ def unreachable():
             break
         reached |= new
         reached_names |= referenced([definitions[key] for key in new])
+    return definitions, reached, reached_names
+
+
+def unreachable():
+    definitions, reached, _ = closure()
     return set(definitions) - reached, set(definitions)
+
+
+def unused_members():
+    """({"module.Class.member": used}, over the public methods and
+    properties of every reached class); a member is used when the
+    acceptance criteria or anything reached names it."""
+    definitions, reached, reached_names = closure()
+    named = reached_names | referenced([ACCEPTANCE])
+    return {
+        f"{key}.{node.name}": node.name in named
+        for key, cls in definitions.items()
+        if isinstance(cls, ast.ClassDef) and key in reached
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    }
 
 
 def test_every_definition_is_reachable_or_listed():
@@ -117,3 +155,14 @@ def test_unreachable_list_only_shrinks():
     dead, defined = unreachable()
     assert sorted(set(UNREACHABLE) - defined) == [], "listed but no longer defined"
     assert sorted(set(UNREACHABLE) - dead) == [], "listed but now reachable"
+
+
+def test_every_public_member_of_a_reached_class_is_used_or_listed():
+    unused = {member for member, used in unused_members().items() if not used}
+    assert sorted(unused - set(UNUSED_MEMBERS)) == []
+
+
+def test_unused_member_list_only_shrinks():
+    members = unused_members()
+    assert sorted(set(UNUSED_MEMBERS) - set(members)) == [], "listed but no longer defined"
+    assert sorted(m for m in UNUSED_MEMBERS if members[m]) == [], "listed but now used"
