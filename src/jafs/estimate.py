@@ -152,11 +152,18 @@ def accumulate_gram(chunks: Iterable[np.ndarray]):
     returns (gram, block count).  Only one chunk is held at a time.
     Each chunk's Gram is computed in the chunk's precision and summed in
     complex128, so rounding does not build up over the chunks.  Raises
-    ValueError when the chunks hold no block, and when the sum is not
-    finite, as when a chunk's complex64 products overflow (block values
-    of order 1e17 and up); the overflow itself is not warned of."""
-    gram, n_blocks = None, 0
+    ValueError when a chunk is not a (blocks, M_s, M_t) array of the
+    first chunk's M_s and M_t (the message names the shape expected),
+    when the chunks hold no block, and when the sum is not finite, as
+    when a chunk's complex64 products overflow (block values of order
+    1e17 and up); the overflow itself is not warned of."""
+    gram, n_blocks, width = None, 0, None
     for chunk in chunks:
+        if np.ndim(chunk) != 3 or (width is not None and chunk.shape[1:] != width):
+            known = "" if width is None else f" = (blocks, {width[0]}, {width[1]})"
+            shape = np.shape(chunk)
+            raise ValueError(f"chunk of shape {shape} is not (blocks, M_s, M_t){known}")
+        width = chunk.shape[1:]
         with np.errstate(over="ignore", invalid="ignore"):
             if gram is None:
                 gram = block_gram(chunk).astype(np.complex128)

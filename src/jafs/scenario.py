@@ -99,6 +99,7 @@ from .simulate import (
     block_chunks,
     build_coset_pattern,
     chunk_blocks,
+    create_output,
     draw_threads,
     dump_chunks,
     normals_drawn,
@@ -532,10 +533,10 @@ def _write_csv(fh, rows) -> None:
     fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _spectrum_csvs(out: Path, spec: est.SpectrumMatrix, written: list) -> None:
+def _spectrum_csvs(out: Path, spec: est.SpectrumMatrix, create) -> None:
     """Write the raw (complex, natural bin order) and plot (clamped real,
-    sorted frequency) spectrum CSVs and the angular marginal, adding each
-    path to ``written`` before it is opened."""
+    sorted frequency) spectrum CSVs and the angular marginal, each opened
+    by ``create``, an _outputs frame's."""
     angles_deg = np.degrees(spec.angle_grid.angles).tolist()
     order = np.argsort(spec.freq_grid, kind="stable")
     clamped = spec.clamped_real()
@@ -545,9 +546,8 @@ def _spectrum_csvs(out: Path, spec: est.SpectrumMatrix, written: list) -> None:
         "angular_marginal.csv": (["power"], clamped.sum(axis=1)[:, None]),
     }
     for name, (header, values) in tables.items():
-        written.append(out / name)
         rows = ([a, *row] for a, row in zip(angles_deg, values.tolist()))
-        with open(out / name, "w") as fh:
+        with create(out / name, "x") as fh:
             _write_csv(fh, [["angle_deg", *header], *rows])
 
 
@@ -569,39 +569,39 @@ def run_scenario(
     threads.  ``timings["simulate_s"]`` is the run's wait on the
     simulator: the FIRs, the steering and any draw not yet done.
     ``timings["export_s"]`` covers writing the CSVs and assembling the
-    report, not writing report.json, which holds it.  The outputs are
-    written in one _outputs transaction: a failed or interrupted run
-    removes those already written, and an output that cannot be written
-    raises ConfigError naming it.
+    report, not writing report.json, which holds it.  ``cpu_s`` holds
+    the calling thread's CPU seconds (time.thread_time) over each stage
+    of ``timings``, under the same keys; the draw threads' CPU is in
+    neither.  The outputs are written in one _outputs transaction, each
+    created afresh: a failed or interrupted run removes those already
+    written, and an output that cannot be written raises ConfigError
+    naming it.
     """
     if seed is not None:
         cfg = _replace(cfg, master_seed=seed)
+    clock = _Clock()
     with one_blas_thread() as blas_threads:
-        t0 = time.perf_counter()
+        t0 = clock.now()
         resolved = resolve(cfg)
         require_gates(resolved.gates)
-        timings = {"design_s": time.perf_counter() - t0}
-        with _outputs(cfg, output_dir) as (out, written):
-            dump = None
-            if cfg.dump_snapshots:
-                dump = out / "compressed_blocks.bin"
-                written.append(dump)
-            rec, spec, detections = _estimate(cfg, resolved.design, timings, dump)
+        clock.add("design_s", t0)
+        with _outputs(cfg, output_dir) as (out, create):
+            dump = out / "compressed_blocks.bin" if cfg.dump_snapshots else None
+            rec, spec, detections = _estimate(cfg, resolved.design, clock, dump, create)
 
-            t0 = time.perf_counter()
-            _spectrum_csvs(out, spec, written)
+            t0 = clock.now()
+            _spectrum_csvs(out, spec, create)
             report = _design_record(cfg, resolved) | {
                 "blas_threads": blas_threads,
                 "sigma_n_hat": rec.sigma_n_hat,
                 "noise_path": rec.noise_path,
                 "residual_norms": [float(r) for r in rec.residual_norms],
                 "detections": [_detection_record(d) for d in detections],
-                "timings": timings,
+                "timings": clock.wall,
+                "cpu_s": clock.cpu,
             }
-            report_path = out / "report.json"
-            written.append(report_path)
-            timings["export_s"] = time.perf_counter() - t0
-            with open(report_path, "w") as fh:
+            clock.add("export_s", t0)
+            with create(out / "report.json", "x") as fh:
                 json.dump(report, fh, indent=2)
         return report
 
@@ -609,18 +609,25 @@ def run_scenario(
 @contextmanager
 def _outputs(cfg: ScenarioConfig, override: Optional[str]):
     """Run's and sweep's output transaction: yields the output directory
-    (``override`` if given, created if missing) and a list to which the
-    caller adds each path before opening it.  Any failure or interruption
-    removes every listed path; an OSError, which only the writes raise,
-    becomes a ConfigError naming the last one, the one open."""
+    (``override`` if given, created if missing) and ``create(path,
+    mode)``, which records ``path`` and opens it as a new file in mode
+    "x" or "xb" through simulate.create_output (any file at ``path`` is
+    unlinked first, never truncated).  Any failure or interruption
+    removes every recorded path; an OSError, which only the writes
+    raise, becomes a ConfigError naming the last one, the one open."""
     out = Path(override if override is not None else cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot use output directory {str(out)!r}: {exc}")
     written = []
+
+    def create(path, mode):
+        written.append(path)
+        return create_output(path, mode)
+
     try:
-        yield out, written
+        yield out, create
     except BaseException as exc:
         for p in written:
             try:
@@ -632,44 +639,64 @@ def _outputs(cfg: ScenarioConfig, override: Optional[str]):
         raise
 
 
-def _estimate(cfg: ScenarioConfig, design: est.Design, timings: dict, dump=None):
+class _Clock:
+    """A run's stage clock: seconds by stage of wall time (``wall``, the
+    report's timings) and of the calling thread's CPU (``cpu``, its
+    cpu_s)."""
+
+    def __init__(self):
+        self.wall, self.cpu = {}, {}
+
+    @staticmethod
+    def now() -> tuple:
+        return time.perf_counter(), time.thread_time()
+
+    def add(self, stage: str, since: tuple, less: Optional[str] = None) -> None:
+        """Add the time from ``since``, a now(), to ``stage``, less what
+        stage ``less`` holds."""
+        for part, end, start in zip((self.wall, self.cpu), self.now(), since):
+            part[stage] = part.get(stage, 0.0) + end - start - part.get(less, 0.0)
+
+
+def _estimate(
+    cfg: ScenarioConfig, design: est.Design, clock: _Clock, dump=None, create=None
+):
     """The one estimation path of run and sweep: fold the simulated
-    chunks into a Gram (writing them to ``dump`` as they pass, when
-    given), solve it and find the peaks.  Its callers hold
-    one_blas_thread around it, so the fold and the solve run on one BLAS
-    thread.  Sets ``timings``' simulate_s, gram_s and estimate_s;
-    returns (rec, spec, detections)."""
+    chunks into a Gram (writing them to the path ``dump`` as they pass,
+    when given, a file opened by ``create``), solve it and find the
+    peaks.  Its callers hold one_blas_thread around it, so the fold and
+    the solve run on one BLAS thread.  Adds ``clock``'s simulate_s,
+    gram_s and estimate_s; returns (rec, spec, detections)."""
     chunks = block_chunks(
         cfg.sources, design.geometry, design.pattern, cfg.noise_variance,
         cfg.n_blocks, cfg.master_seed, cfg.workers,
     )
     if dump is not None:
         shape = (cfg.n_blocks, design.geometry.m_active, design.pattern.m_t)
-        chunks = dump_chunks(dump, chunks, shape)
-    timings["simulate_s"] = 0.0
-    t0 = time.perf_counter()
+        chunks = dump_chunks(dump, chunks, shape, create)
+    t0 = clock.now()
     # closing ends the stream, and with it any open dump, on failure
     with closing(chunks):
-        gram, n_blocks = est.accumulate_gram(_timed(chunks, timings, "simulate_s"))
-    timings["gram_s"] = time.perf_counter() - t0 - timings["simulate_s"]
+        gram, n_blocks = est.accumulate_gram(_timed(chunks, clock, "simulate_s"))
+    clock.add("gram_s", t0, less="simulate_s")
 
-    t0 = time.perf_counter()
+    t0 = clock.now()
     rec, spec = est.spectrum_from_gram(
         design, gram, n_blocks, cfg.noise_mode, cfg.noise_variance
     )
     detections = est.find_peaks(spec, cfg.peak_threshold)
-    timings["estimate_s"] = time.perf_counter() - t0
+    clock.add("estimate_s", t0)
     return rec, spec, detections
 
 
-def _timed(items, timings: dict, key: str):
+def _timed(items, clock: _Clock, stage: str):
     """Pass ``items`` through, adding the time spent producing each one to
-    ``timings[key]``."""
+    ``clock``'s ``stage``."""
     it = iter(items)
     while True:
-        t0 = time.perf_counter()
+        t0 = clock.now()
         item = next(it, None)
-        timings[key] += time.perf_counter() - t0
+        clock.add(stage, t0)
         if item is None:
             return
         yield item
@@ -720,8 +747,9 @@ def run_sweep(
     closed-form one (NaN when any source is off-grid, where exact truth
     is undefined), the noise-power error, and the fraction of true
     sources matched by a detection within one grid cell.  Every run's
-    design is resolved, and its gates required, and sweep.csv opened,
-    before any run starts, so an output that cannot be written raises
+    design is resolved, and its gates required, and a new sweep.csv
+    created (any old one unlinked, not truncated), before any run
+    starts, so an output that cannot be written raises
     ConfigError before any simulation; runs then execute one after
     another, in job order, each drawing its streams on the config's
     worker count (see block_chunks).  The whole sweep, every design and
@@ -747,10 +775,9 @@ def run_sweep(
         header = [
             "param", "value", "seed", "rs_rel_error", "sigma_rel_error", "detection_rate"
         ]
-        with _outputs(cfg, output_dir) as (out, written):
+        with _outputs(cfg, output_dir) as (out, create):
             path = out / "sweep.csv"
-            written.append(path)
-            with open(path, "w") as fh:
+            with create(path, "x") as fh:
                 rows = [
                     [param, value, seed, *_sweep_metrics(sub, design)]
                     for value, seed, sub, design in jobs
@@ -761,7 +788,7 @@ def run_sweep(
 
 def _sweep_metrics(cfg: ScenarioConfig, design: est.Design):
     """A sweep run's scores, from the estimate run_scenario makes."""
-    rec, _, detections = _estimate(cfg, design, {})
+    rec, _, detections = _estimate(cfg, design, _Clock())
     grid = design.grid
     try:
         truth = place_on_grid(cfg.sources, grid, cfg.n_t)

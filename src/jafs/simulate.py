@@ -664,22 +664,41 @@ def build_coset_pattern(
     return CosetPattern(n_t=n_t, rows=tuple(sorted(rows)))
 
 
+def create_output(path, mode: str):
+    """Open a new file at ``path`` in ``mode``, "x" or "xb", unlinking any
+    file there first: every file jafs writes is created here.  An old
+    file is replaced, never truncated or renamed over (on ext4 either
+    blocked 40-100 ms per file): a reader holding it open, or a hard link
+    to it, keeps its content, a symlink is replaced (its target is
+    untouched), and the new file's mode follows the umask."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode)
+
+
 def write_snapshots(path, snapshots: SnapshotBlocks) -> None:
     """Binary dump: 32-byte little-endian header (8-byte magic, then
     uint64 rows, columns, block count) followed by complex128 block data,
     row-major per block (interleaved re/im float64).  Simulated blocks
-    are complex64; the dump holds their exact widening."""
+    are complex64; the dump holds their exact widening.  The file is
+    created afresh (create_output)."""
     for _ in dump_chunks(path, (snapshots.blocks,), snapshots.shape):
         pass
 
 
-def dump_chunks(path, chunks: Iterable[np.ndarray], shape: tuple) -> Iterator[np.ndarray]:
+def dump_chunks(
+    path, chunks: Iterable[np.ndarray], shape: tuple, create=create_output
+) -> Iterator[np.ndarray]:
     """Pass block chunks through unchanged while writing them to ``path``
     in write_snapshots' format, widened to complex128; ``shape`` is the
     (N_n, rows, columns) of all chunks together, written to the header
-    up front."""
+    up front.  ``create(path, "xb")`` opens the file when the first chunk
+    is asked for: create_output, or a caller's own that records the path
+    and calls it."""
     n_blocks, rows, cols = shape
-    with open(path, "wb") as fh:
+    with create(path, "xb") as fh:
         fh.write(_SNAP_MAGIC + struct.pack("<QQQ", rows, cols, n_blocks))
         for chunk in chunks:
             fh.write(np.ascontiguousarray(chunk, dtype="<c16"))

@@ -12,7 +12,7 @@ import textwrap
 import threading
 import tracemalloc
 import types
-from contextlib import closing, redirect_stderr, redirect_stdout
+from contextlib import ExitStack, closing, redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -314,6 +314,75 @@ def test_failed_run_removes_partial_dump(tmp_path, monkeypatch):
         run_scenario(cfg, output_dir=str(out))
     assert len(seen) == 2
     assert not (out / "compressed_blocks.bin").exists()
+
+
+RUN_OUTPUTS = (
+    "spectrum_raw.csv",
+    "spectrum_plot.csv",
+    "angular_marginal.csv",
+    "report.json",
+    "compressed_blocks.bin",
+)
+
+
+def without_clock(report_bytes):
+    report = json.loads(report_bytes)
+    del report["timings"], report["cpu_s"]
+    return report
+
+
+def test_rerun_replaces_its_outputs_instead_of_truncating_them(tmp_path):
+    cfg = replace(load_scenario(SMOKE), dump_snapshots=True)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    run_scenario(cfg, output_dir=str(out), seed=0)
+    first = {name: (out / name).read_bytes() for name in RUN_OUTPUTS}
+    os.link(out / "report.json", tmp_path / "linked.json")
+    with ExitStack() as stack:
+        held = {name: stack.enter_context(open(out / name, "rb")) for name in RUN_OUTPUTS}
+        run_scenario(cfg, output_dir=str(out), seed=1)
+        # a reader holding the first run's files still reads them whole
+        assert {name: fh.read() for name, fh in held.items()} == first
+    assert (tmp_path / "linked.json").read_bytes() == first["report.json"]
+    run_scenario(cfg, output_dir=str(fresh), seed=1)
+    for name in RUN_OUTPUTS:
+        again, alone = (out / name).read_bytes(), (fresh / name).read_bytes()
+        if name == "report.json":
+            again, alone = without_clock(again), without_clock(alone)
+        assert again == alone, name
+
+
+def test_sweep_rerun_replaces_sweep_csv_instead_of_truncating_it(tmp_path):
+    cfg = load_scenario(SMOKE)
+    out = tmp_path / "out"
+    path = run_sweep(cfg, "n_blocks", [100], [0], output_dir=str(out))
+    first = path.read_bytes()
+    with open(path, "rb") as held:
+        run_sweep(cfg, "n_blocks", [100], [1], output_dir=str(out))
+        assert held.read() == first
+    fresh = run_sweep(cfg, "n_blocks", [100], [1], output_dir=str(tmp_path / "fresh"))
+    assert path.read_bytes() == fresh.read_bytes() != first
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_path_that_is_a_symlink_is_replaced_not_followed(tmp_path, command):
+    name = "sweep.csv" if command == "sweep" else "spectrum_raw.csv"
+    target = tmp_path / "target.csv"
+    target.write_text("kept\n")
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / name).symlink_to(target)
+    path = write_scenario(tmp_path, SMOKE.read_text())
+    assert main(cli_args(command, path, tmp_path)) == 0
+    assert target.read_text() == "kept\n"
+    assert (out / name).is_file() and not (out / name).is_symlink()
+
+
+def test_report_stage_cpu_is_at_most_its_wall_time(tmp_path):
+    run_scenario(load_scenario(SMOKE), output_dir=str(tmp_path))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert list(report["cpu_s"]) == list(report["timings"])
+    for stage, wall in report["timings"].items():
+        assert 0 <= report["cpu_s"][stage] <= wall + 0.01, stage
 
 
 def test_run_scenario_memory_flat_in_block_count(tmp_path):

@@ -701,7 +701,7 @@ def test_accumulate_gram_rejects_no_blocks():
 DOCUMENTED = re.compile(
     "noise variance must be >= 0|blocks must be finite|no blocks to correlate"
     "|Gram is not finite|gram must be|n_blocks must be >= 1"
-    "|requires a finite noise_variance"
+    "|requires a finite noise_variance|is not \\(blocks, M_s, M_t\\)"
 )
 TINY = Design(
     ArrayGeometry(3, 0.5, (0, 1, 2)), inverse_sin_grid(3), CosetPattern(4, (0, 1, 3))
@@ -777,15 +777,19 @@ def test_block_chunks_give_finite_blocks_or_a_documented_error(
     noise_mode=st.sampled_from(["estimate", "known"]),
     noise_variance=VARIANCES,
     seed=st.integers(0, 2 ** 16),
+    misshape=st.sampled_from([None, "2-D", "narrower", "4-D"]),
 )
-# an empty chunk; a NaN Gram; a Gram over no blocks; a NaN known variance
-@example(1.0, False, 3, 0, None, None, None, "estimate", 1.0, 0)
-@example(1.0, False, 3, 1, None, float("nan"), None, "estimate", 1.0, 0)
-@example(1.0, False, 3, 1, None, None, 0, "estimate", 1.0, 0)
-@example(1.0, False, 3, 1, None, None, None, "known", float("nan"), 0)
+# an empty chunk; a NaN Gram; a Gram over no blocks; a NaN known variance;
+# a 2-D chunk; a chunk narrower than the first
+@example(1.0, False, 3, 0, None, None, None, "estimate", 1.0, 0, None)
+@example(1.0, False, 3, 1, None, float("nan"), None, "estimate", 1.0, 0, None)
+@example(1.0, False, 3, 1, None, None, 0, "estimate", 1.0, 0, None)
+@example(1.0, False, 3, 1, None, None, None, "known", float("nan"), 0, None)
+@example(1.0, False, 3, 1, None, None, None, "estimate", 1.0, 0, "2-D")
+@example(1.0, False, 3, 1, None, None, None, "estimate", 1.0, 0, "narrower")
 def test_gram_entry_points_give_a_finite_estimate_or_a_documented_error(
     scale, wide, n_blocks, split, block_poke, gram_poke, gram_count, noise_mode,
-    noise_variance, seed,
+    noise_variance, seed, misshape,
 ):
     rng = np.random.default_rng(seed)
     shape = (n_blocks, 3, 3)
@@ -795,10 +799,18 @@ def test_gram_entry_points_give_a_finite_estimate_or_a_documented_error(
     blocks = poked(blocks, block_poke, rng)
     split = min(split, n_blocks)
     chunks = [blocks[:split], blocks[split:]]
-    folded = finite_or_documented(accumulate_gram, chunks)
     with np.errstate(over="ignore", invalid="ignore"):
         overflows = not all(np.isfinite(block_gram(c)).all() for c in chunks)
-    assert (folded is None) == (n_blocks == 0 or overflows)
+    # the second chunk misshapen: no longer (blocks, M_s, M_t) of the first's M_s, M_t
+    last = chunks[1]
+    chunks[1] = {
+        None: last,
+        "2-D": last.reshape(len(last), 9),
+        "narrower": last[:, :2],
+        "4-D": last[..., None],
+    }[misshape]
+    folded = finite_or_documented(accumulate_gram, chunks)
+    assert (folded is None) == (n_blocks == 0 or overflows or misshape is not None)
     snapshots = finite_or_documented(SnapshotBlocks, blocks)
     if snapshots is not None:
         result = finite_or_documented(
