@@ -40,8 +40,9 @@ for length in (3, 6, 10, 13):
 # 2. Larger designs from the library and from heuristics
 # ---------------------------------------------------------------------
 # Above the exhaustive limit the solver falls back to curated designs
-# where it has them (35 and 83) and a greedy-plus-shrink heuristic
-# otherwise.  Heuristic results are valid rulers, just not certified
+# where it has them (35 and 83) and otherwise to a budgeted
+# branch-and-bound that keeps its best ruler and looks for one with
+# fewer marks.  Heuristic results are valid rulers, just not certified
 # minimal.
 
 big = solve_sparse_ruler(35)

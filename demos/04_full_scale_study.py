@@ -4,8 +4,8 @@
 Runs the bundled 36-antenna configuration: 12 sources on a 9-degree
 comb, 71 grid angles, 167 frequency bins, sampling at 40.5% of the
 Nyquist rate on 27.8% of the antennas.  Then sweeps the block count on
-the small scenario to show the 1/sqrt(N) error law.  Takes roughly ten
-seconds total.
+the small scenario to show the 1/sqrt(N) error law.  Takes well under
+a second.
 """
 
 import tempfile

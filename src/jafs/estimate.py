@@ -377,10 +377,6 @@ class SpectrumMatrix:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_bins(self) -> int:
-        return self.freq_grid.size
-
     def clamped_real(self) -> np.ndarray:
         """Display form: real part, negatives clamped to zero."""
         return np.maximum(np.real(self.values), 0.0)

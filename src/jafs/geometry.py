@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 SpacingLike = Union[int, float, str, Fraction]
 
@@ -35,8 +35,8 @@ KNOWN_RULERS = {
 #: enumeration.
 EXHAUSTIVE_LIMIT = 13
 
-# Search nodes the shrinking search above the exhaustive limit may visit,
-# shared by all its rounds; when they run out the best ruler so far stands.
+# Search nodes the branch-and-bound above the exhaustive limit may visit
+# after its first ruler; when they run out the best ruler so far stands.
 _SHRINK_BUDGET = 5_000_000
 
 
@@ -141,45 +141,32 @@ def _least_minimal_ruler(length: int) -> tuple:
                 return marks
 
 
-def _greedy_ruler(length: int) -> tuple:
-    """Valid ruler by repeatedly adding the mark that covers the most
-    still-missing lags (ties to the smallest position)."""
-    marks = [0, length]
-    covered = {length}
-    while len(covered) < length:
-        best_gain, best_pos = -1, None
-        for pos in range(1, length):
-            if pos in marks:
-                continue
-            gain = len({abs(pos - m) for m in marks} - covered)
-            if gain > best_gain:
-                best_gain, best_pos = gain, pos
-        covered |= {abs(best_pos - m) for m in marks}
-        marks.append(best_pos)
-        marks.sort()
-    return tuple(marks)
+def _gap_search(length: int) -> tuple:
+    """Depth-first branch-and-bound for a ruler with the fewest marks,
+    branching on the largest uncovered lag, best gain first; used above
+    the exhaustive limit.  The first descent never backtracks, since
+    ``0 + g`` is always a candidate, so a ruler is always found.  Each
+    later node spends one unit of ``_SHRINK_BUDGET`` and only rulers with
+    fewer marks than the best so far are searched; the best stands when
+    it meets the counting bound or the budget runs out."""
+    floor = _min_cardinality_lower_bound(length)
+    best, k, budget = None, length + 1, _SHRINK_BUDGET  # k: most marks allowed
 
-
-def _gap_search(length: int, k: int, budget: list) -> Optional[tuple]:
-    """Existence search for a k-mark ruler, branching on the largest
-    uncovered lag.  Complete for the given k but not lexicographically
-    ordered; used above the exhaustive limit.  ``budget`` is a
-    single-element node counter; once it runs out every node fails, so
-    an exhausted search returns None."""
-
-    def dfs(marks: frozenset, covered: frozenset) -> Optional[tuple]:
-        budget[0] -= 1
-        if budget[0] < 0:
-            return None
-        missing = [g for g in range(1, length + 1) if g not in covered]
-        if not missing:
-            return tuple(sorted(marks))
+    def dfs(marks: frozenset, covered: frozenset) -> bool:
+        # True once the search is over
+        nonlocal best, k, budget
+        if best is not None:
+            budget -= 1
+            if budget < 0:
+                return True
+        missing = length - len(covered)  # covered holds lags in 1..length
         left = k - len(marks)
-        if left <= 0:
-            return None
-        if len(missing) > left * len(marks) + left * (left - 1) // 2:
-            return None
-        g = max(missing)
+        if not missing and left >= 0:
+            best, k = tuple(sorted(marks)), len(marks) - 1
+            return k < floor
+        if left <= 0 or missing > left * len(marks) + left * (left - 1) // 2:
+            return False
+        g = next(g for g in range(length, 0, -1) if g not in covered)
         cands = set()
         for m in marks:
             if m + g <= length and m + g not in marks:
@@ -190,16 +177,13 @@ def _gap_search(length: int, k: int, budget: list) -> Optional[tuple]:
             cands,
             key=lambda p: (-len({abs(p - m) for m in marks} - covered), p),
         )
-        for p in scored:
-            res = dfs(
-                marks | {p},
-                covered | frozenset(abs(p - m) for m in marks),
-            )
-            if res is not None:
-                return res
-        return None
+        return any(
+            dfs(marks | {p}, covered | frozenset(abs(p - m) for m in marks))
+            for p in scored
+        )
 
-    return dfs(frozenset({0, length}), frozenset({length}))
+    dfs(frozenset({0, length}), frozenset({length}))
+    return best
 
 
 @functools.cache
@@ -209,12 +193,13 @@ def solve_sparse_ruler(length: int) -> RulerSolution:
     For ``length <= EXHAUSTIVE_LIMIT`` the search is complete: the result
     has provably minimum cardinality and is the lexicographically least
     such mark set.  For longer rulers a curated table of verified
-    best-known solutions is consulted first, then a greedy construction
-    is shrunk one mark at a time by a branch-and-bound search until it
-    fails or its node budget runs out; the result is always valid but
-    minimality is not claimed.  Each length is solved once per process
-    and the frozen result reused.  To use given marks, construct
-    :class:`RulerSolution` directly, which validates them.
+    best-known solutions is consulted first, then a branch-and-bound
+    search keeps the best ruler it has found and looks for one with
+    fewer marks until it meets the counting bound or its node budget
+    runs out; the result is always valid but minimality is not claimed.
+    Each length is solved once per process and the frozen result reused.
+    To use given marks, construct :class:`RulerSolution` directly, which
+    validates them.
     """
     if length < 1:
         raise ValueError("ruler length must be >= 1")
@@ -222,16 +207,7 @@ def solve_sparse_ruler(length: int) -> RulerSolution:
         return RulerSolution(length, KNOWN_RULERS[length])
     if length <= EXHAUSTIVE_LIMIT:
         return RulerSolution(length, _least_minimal_ruler(length), minimal=True)
-
-    # above the exhaustive limit: greedy start, then try to shrink
-    best = _greedy_ruler(length)
-    budget = [_SHRINK_BUDGET]
-    while len(best) > _min_cardinality_lower_bound(length):
-        smaller = _gap_search(length, len(best) - 1, budget)
-        if smaller is None:
-            break
-        best = smaller
-    return RulerSolution(length, best)
+    return RulerSolution(length, _gap_search(length))
 
 
 def generate_nested(n1: int, n2: int) -> tuple:

@@ -757,6 +757,8 @@ def run_sweep(
     run_scenario does.  The rows are written after the last run, in
     run_scenario's _outputs transaction: a failed or interrupted run
     removes sweep.csv.  An empty ``values`` or ``seeds`` is a ConfigError.
+    ``dump_snapshots`` applies to run_scenario only: a sweep writes
+    sweep.csv and nothing else.
     """
     if param not in SWEEP_PARAMS:
         params = " or ".join(SWEEP_PARAMS)

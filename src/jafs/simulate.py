@@ -12,8 +12,9 @@ the kept rows and columns: each source's FIR outputs at the coset
 columns, steered onto the active antennas, plus the active antennas'
 noise at those columns.  The random streams are drawn on a small thread
 pool one chunk ahead, while the calling thread filters, steers and hands
-out the current chunk.  Memory is therefore set by two chunks, not by
-N_n; block_buffer_bytes gives it in closed form.  compressed_blocks and
+out the current chunk.  Memory is therefore set by three chunks (the
+caller's, the one being finished and the one drawn ahead), not by N_n;
+block_buffer_bytes gives it in closed form.  compressed_blocks and
 ula_snapshots (nothing compressed away) gather all chunks into one
 array; scenario runs fold them into a running Gram instead
 (estimate.accumulate_gram), and dump_chunks streams them to a file on

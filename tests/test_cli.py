@@ -447,10 +447,16 @@ def test_sweep_rows_and_determinism(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "param,value,seed,rs_rel_error,sigma_rel_error,detection_rate"
     assert len(lines) == 4
+    # dump_snapshots applies to run only: the sweep writes sweep.csv alone
     again = run_sweep(
-        cfg, "n_blocks", [100], [0, 1, 2], output_dir=str(tmp_path / "s2")
+        replace(cfg, dump_snapshots=True),
+        "n_blocks",
+        [100],
+        [0, 1, 2],
+        output_dir=str(tmp_path / "s2"),
     )
     assert path.read_bytes() == again.read_bytes()
+    assert [p.name for p in again.parent.iterdir()] == ["sweep.csv"]
 
 
 def test_sweep_csv_does_not_depend_on_the_worker_count(tmp_path):
@@ -1036,15 +1042,15 @@ def test_solved_marks_are_not_solved_again_after_load(tmp_path, monkeypatch):
 
 def test_sweep_over_m_t_solves_each_coset_ruler_once(tmp_path, monkeypatch):
     # length 15 is neither curated nor enumerated, so every solve of it
-    # starts from the greedy ruler
+    # runs the branch-and-bound search
     text = SMOKE.read_text().replace(ROWS, "m_t = 7\n").replace("n_t = 8", "n_t = 16")
     cfg = load_scenario(write_scenario(tmp_path, text))
     cfg = replace(cfg, n_blocks=50)
     geometry.solve_sparse_ruler.cache_clear()
-    calls = count_calls(monkeypatch, [("_greedy_ruler", geometry)])
+    calls = count_calls(monkeypatch, [("_gap_search", geometry)])
     path = run_sweep(cfg, "m_t", [7, 8], [0, 1], output_dir=str(tmp_path / "sweep"))
     assert len(path.read_text().splitlines()) == 5
-    assert calls == {"_greedy_ruler": 1}
+    assert calls == {"_gap_search": 1}
 
 
 def test_run_scenario_resolves_design_once(tmp_path, monkeypatch):

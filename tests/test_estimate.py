@@ -496,7 +496,7 @@ def test_spectrum_frequency_grid_recentered():
         spec.freq_grid,
         [0.0, 2 * np.pi / 5, 4 * np.pi / 5, -4 * np.pi / 5, -2 * np.pi / 5],
     )
-    assert spec.n_bins == 5
+    assert spec.freq_grid.size == 5
 
 
 def test_spectrum_parseval_row_sums():

@@ -71,8 +71,8 @@ def test_user_supplied_marks_are_validated():
 
 
 def test_exhausted_shrink_budget_keeps_the_best_ruler_so_far(monkeypatch):
-    # the greedy start for length 17 has 8 marks; the shrinking search
-    # finds 7 when it may search at all
+    # with no budget the search stops at its first ruler, which has 8
+    # marks at length 17; with its budget it finds 7
     assert solve_sparse_ruler(17).cardinality == 7
     # solutions are cached per length; clear so neither budget's ruler
     # answers for the other, here or in a later test
@@ -94,9 +94,30 @@ def test_heuristic_range_returns_valid_ruler():
 
 @pytest.mark.parametrize("length", [14, 17, 18, 21])
 def test_heuristic_lengths_return_valid_rulers(length):
-    # lengths whose greedy start covers every lag only with its last mark
+    # lengths whose first ruler covers every lag only with its last mark
     sol = solve_sparse_ruler(length)
     assert validate_ruler(sol.marks, length)
+
+
+# mark counts at every length from 14 to 41; all but the curated 35 are
+# searched
+RULER_COUNTS = {
+    7: range(14, 18),
+    8: range(18, 24),
+    9: range(24, 30),
+    10: range(30, 37),
+    11: range(37, 42),
+}
+
+
+@pytest.mark.parametrize(
+    "length,count",
+    [(length, count) for count, lengths in RULER_COUNTS.items() for length in lengths],
+)
+def test_searched_rulers_keep_their_mark_counts(length, count):
+    sol = solve_sparse_ruler(length)
+    assert validate_ruler(sol.marks, length)
+    assert sol.cardinality == count
 
 
 def test_validate_ruler_examples():

@@ -49,16 +49,22 @@ UNUSED_MEMBERS = {
 }
 
 
+def attributes(nodes):
+    """Every identifier the nodes name as an attribute."""
+    return {
+        sub.attr
+        for node in nodes
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+    }
+
+
 def referenced(nodes):
     """Every identifier the nodes name, as a bare name or an attribute."""
-    names = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                names.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                names.add(sub.attr)
-    return names
+    bare = {
+        sub.id for node in nodes for sub in ast.walk(node) if isinstance(sub, ast.Name)
+    }
+    return bare | attributes(nodes)
 
 
 def defined_names(node):
@@ -96,19 +102,18 @@ def package_imports(tree):
 
 
 ACCEPTANCE = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+DEMOS = [ast.parse(demo.read_text()) for demo in sorted((ROOT / "demos").glob("*.py"))]
 
 
 def root_names():
     names = {"main"}  # cli.main
-    for demo in sorted((ROOT / "demos").glob("*.py")):
-        tree = ast.parse(demo.read_text())
+    for tree in DEMOS:
         names |= referenced([tree]) | package_imports(tree)
     return names | package_imports(ACCEPTANCE)
 
 
 def closure():
-    """(every definition, the reached ones, every name the roots and the
-    reached definitions use)."""
+    """(every definition, the reached ones)."""
     definitions, on_import = package_definitions()
     reached_names = root_names() | referenced(on_import)
     reached = set()
@@ -122,20 +127,22 @@ def closure():
             break
         reached |= new
         reached_names |= referenced([definitions[key] for key in new])
-    return definitions, reached, reached_names
+    return definitions, reached
 
 
 def unreachable():
-    definitions, reached, _ = closure()
+    definitions, reached = closure()
     return set(definitions) - reached, set(definitions)
 
 
 def unused_members():
     """({"module.Class.member": used}, over the public methods and
-    properties of every reached class); a member is used when the
-    acceptance criteria or anything reached names it."""
-    definitions, reached, reached_names = closure()
-    named = reached_names | referenced([ACCEPTANCE])
+    properties of every reached class); a member is used when a reached
+    definition, a demo or the acceptance criteria name it as an
+    attribute."""
+    definitions, reached = closure()
+    roots = DEMOS + [ACCEPTANCE]
+    named = attributes([definitions[key] for key in reached] + roots)
     return {
         f"{key}.{node.name}": node.name in named
         for key, cls in definitions.items()
